@@ -6,7 +6,7 @@ from .dynamics import (PendulumParams, LinearModel, Trajectory, closed_loop,
                        dare_lqr, linearize, pendulum_deriv, rollout, step_euler)
 from .grid import GridDomain
 from .lyapunov import PDLyapunovNet, load_net, pretrain_quadratic, save_net
-from .oracle import RoaMask, gap_growth_check, mask_measure, sym_diff_measure, true_roa
+from .oracle import RoaMask, gap_growth_check, sym_diff_measure, true_roa
 from .policy import SatParams, SatPolicy, crop_update, policy_eval, policy_grad_psi, sat
 from .roa_estimator import (LevelSetEstimate, RoaEstHyper, estimate_roa,
                             label_batch, line_search_level, roa_loss, sample_mixture)

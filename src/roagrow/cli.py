@@ -20,6 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RedesignConfig, VARIANTS, dump_config, parse_config
+from .dynamics import closed_loop
+from .experiment import _design_lqr, emit_heatmap, pretrain_net, run_redesign, write_report
+from .lyapunov import save_net
+from .oracle import true_roa
 
 log = logging.getLogger("roagrow")
 
@@ -75,8 +79,6 @@ def _load_config(args) -> RedesignConfig:
 
 
 def _cmd_run(cfg: RedesignConfig) -> int:
-    from .experiment import run_redesign
-
     result = run_redesign(cfg)
     final = result.oracle_fractions[-1]
     print(f"final oracle RoA fraction: {final:.4f} "
@@ -86,9 +88,6 @@ def _cmd_run(cfg: RedesignConfig) -> int:
 
 
 def _cmd_pretrain(cfg: RedesignConfig) -> int:
-    from .experiment import emit_heatmap, pretrain_net
-    from .lyapunov import save_net
-
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
@@ -104,10 +103,6 @@ def _cmd_pretrain(cfg: RedesignConfig) -> int:
 
 
 def _cmd_oracle(cfg: RedesignConfig) -> int:
-    from .dynamics import closed_loop
-    from .experiment import _design_lqr
-    from .oracle import true_roa
-
     params = cfg.pendulum_params()
     grid = cfg.grid()
     k_gain, _ = _design_lqr(cfg, params)
@@ -120,8 +115,6 @@ def _cmd_oracle(cfg: RedesignConfig) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .experiment import write_report
-
     write_report(args.out)
     print(f"report tables written to {args.out}")
     return 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .dynamics import PendulumParams
 from .grid import GridDomain
 from .policy import SatParams, SatPolicy
@@ -163,8 +165,6 @@ class RedesignConfig:
                          m_b=self.sat_slope_b, trainable=trainable)
 
     def initial_policy(self, k) -> SatPolicy:
-        import numpy as np
-
         return SatPolicy(k=np.asarray(k, dtype=float).reshape(2),
                          psi=self.initial_sat_params(),
                          crop_radius=self.crop_radius)

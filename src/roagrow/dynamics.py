@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .policy import policy_eval
+
 __all__ = [
     "PendulumParams",
     "Trajectory",
@@ -24,6 +26,7 @@ __all__ = [
     "closed_loop",
     "rollout",
     "rollout_batch",
+    "out_of_box",
     "linearize",
     "dare_lqr",
 ]
@@ -145,8 +148,6 @@ class ClosedLoopMap:
         self.params = params
 
     def control(self, state):
-        from .policy import policy_eval
-
         return policy_eval(state, self.policy)
 
     def __call__(self, state):
@@ -161,7 +162,8 @@ def closed_loop(policy, params: PendulumParams) -> ClosedLoopMap:
     return ClosedLoopMap(policy, params)
 
 
-def _out_of_box(states: np.ndarray, box) -> np.ndarray:
+def out_of_box(states: np.ndarray, box) -> np.ndarray:
+    """Rows of ``states`` outside the rectangle ``((tlo, thi), (wlo, whi))``."""
     (tlo, thi), (wlo, whi) = box
     return (states[..., 0] < tlo) | (states[..., 0] > thi) \
         | (states[..., 1] < wlo) | (states[..., 1] > whi)
@@ -189,7 +191,7 @@ def rollout(f, x0, steps: int, box=None) -> Trajectory:
         else:
             u = None
             xn = np.asarray(f(x), dtype=float)
-        if box is not None and bool(_out_of_box(xn, box)):
+        if box is not None and bool(out_of_box(xn, box)):
             diverged = True
             break
         states.append(xn)
@@ -213,7 +215,7 @@ def rollout_batch(f, x0s: np.ndarray, steps: int, box=None):
             break
         xn = np.asarray(f(x[alive]), dtype=float)
         if box is not None:
-            out = _out_of_box(xn, box)
+            out = out_of_box(xn, box)
             idx = np.flatnonzero(alive)
             diverged[idx[out]] = True
             x[idx[~out]] = xn[~out]

@@ -26,8 +26,9 @@ from .config import RedesignConfig, dump_config
 from .dynamics import closed_loop, dare_lqr, linearize, step_euler
 from .grid import GridDomain
 from .lyapunov import PDLyapunovNet, pretrain_quadratic, save_net
-from .oracle import RoaMask, save_mask_csv, save_mask_pgm, true_roa
-from .roa_estimator import LevelSetEstimate, estimate_roa, line_search_level
+from .oracle import save_mask_csv, save_mask_pgm, true_roa
+from .roa_estimator import (LevelSetEstimate, estimate_roa, gap_ring,
+                            line_search_level)
 from .policy_updater import update_policy
 
 __all__ = ["MetricsLog", "RunResult", "run_redesign", "emit_heatmap",
@@ -186,14 +187,6 @@ def pretrain_net(cfg: RedesignConfig, grid: GridDomain, rng) -> tuple:
     return net, stats, k_gain, p_mat
 
 
-def _phase_overlay(grid: GridDomain, est: LevelSetEstimate,
-                   gamma: float, mask: RoaMask) -> MaskOverlay:
-    v = est.net.value(grid.centers())
-    return MaskOverlay(oracle_boundary=mask.boundary_cells(),
-                       estimate=v < est.c,
-                       gap=(v >= est.c) & (v < gamma * est.c))
-
-
 def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
     """Execute the full loop and write all artifacts.
 
@@ -220,6 +213,15 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
     box = grid.safety_box(cfg.safety_box_factor)
     metrics = MetricsLog(out / "metrics.csv")
 
+    def oracle_mask(f, name: str):
+        t0 = time.perf_counter()
+        mask = true_roa(f, grid, cfg.oracle_kmax, cfg.oracle_ball_radius,
+                        cfg.oracle_confirm_steps, box)
+        note_time(name, t0)
+        save_mask_pgm(mask, out / "masks" / f"{name}.pgm")
+        save_mask_csv(mask, out / "masks" / f"{name}.csv")
+        return mask
+
     try:
         t0 = time.perf_counter()
         net, pre, k_gain, _ = pretrain_net(cfg, grid, rng)
@@ -229,21 +231,15 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
         note_time("pretrain", t0)
         log.info("pretraining MSE %.4g -> %.4g", pre["initial_mse"], pre["final_mse"])
         save_net(net, out / "checkpoints" / "net_phase_00.ckpt")
-        emit_heatmap(net.value(grid.centers()), out / "heatmaps" / "pretrain_v.pgm",
+        v_grid = net.value(grid.centers())
+        emit_heatmap(v_grid, out / "heatmaps" / "pretrain_v.pgm",
                      grid.n_theta, grid.n_omega)
+        est = LevelSetEstimate(net, line_search_level(net, f_cur, grid))
 
-        c0 = line_search_level(net, f_cur, grid)
-        est = LevelSetEstimate(net, c0)
-
-        t0 = time.perf_counter()
-        mask = true_roa(f_cur, grid, cfg.oracle_kmax, cfg.oracle_ball_radius,
-                        cfg.oracle_confirm_steps, box)
-        note_time("oracle_baseline", t0)
-        save_mask_pgm(mask, out / "masks" / "oracle_baseline.pgm")
-        save_mask_csv(mask, out / "masks" / "oracle_baseline.csv")
+        mask = oracle_mask(f_cur, "oracle_baseline")
         oracle_fractions = [mask.fraction]
         metrics.add(phase=0, iter=0, kind="init", level_c=est.c,
-                    est_fraction=est.fraction(grid),
+                    est_fraction=float((v_grid < est.c).sum()) / grid.n_cells,
                     oracle_fraction=mask.fraction,
                     sat_a=policy.psi.a, sat_b=policy.psi.b,
                     sat_ma=policy.psi.m_a, sat_mb=policy.psi.m_b, flags="")
@@ -264,9 +260,13 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
             save_net(est.net, out / "checkpoints" / f"net_phase_{phase:02d}.ckpt")
 
             # soundness of the fresh estimate against the matching oracle mask
-            est_mask = est.mask(grid)
+            v_grid = est.net.value(grid.centers())
+            est_mask = v_grid < est.c
+            est_fraction = float(est_mask.sum()) / grid.n_cells
             unsound = float((est_mask & ~mask.values).sum()) / grid.n_cells
-            emit_heatmap(_phase_overlay(grid, est, cfg.gamma_r, mask),
+            emit_heatmap(MaskOverlay(oracle_boundary=mask.boundary_cells(),
+                                     estimate=est_mask,
+                                     gap=gap_ring(v_grid, est.c, cfg.gamma_r)),
                          out / "heatmaps" / f"phase_{phase:02d}_roa.ppm",
                          grid.n_theta, grid.n_omega)
 
@@ -276,16 +276,11 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
             f_cur = f_builder(policy)
             note_time(f"policy_phase_{phase:02d}", t0)
 
-            t0 = time.perf_counter()
-            mask = true_roa(f_cur, grid, cfg.oracle_kmax, cfg.oracle_ball_radius,
-                            cfg.oracle_confirm_steps, box)
-            note_time(f"oracle_phase_{phase:02d}", t0)
-            save_mask_pgm(mask, out / "masks" / f"oracle_phase_{phase:02d}.pgm")
-            save_mask_csv(mask, out / "masks" / f"oracle_phase_{phase:02d}.csv")
+            mask = oracle_mask(f_cur, f"oracle_phase_{phase:02d}")
             oracle_fractions.append(mask.fraction)
 
             metrics.add(phase=phase, iter=0, kind="policy", level_c=est.c,
-                        est_fraction=est.fraction(grid),
+                        est_fraction=est_fraction,
                         oracle_fraction=mask.fraction, loss=rec.loss,
                         sat_a=policy.psi.a, sat_b=policy.psi.b,
                         sat_ma=policy.psi.m_a, sat_mb=policy.psi.m_b,
@@ -295,7 +290,7 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
                         flags="gap_empty" if rec.gap_empty else "")
             prev_est, prev_f = est, f_cur
             log.info("phase %d: c=%.4f est=%.4f oracle=%.4f psi=(%.3f, %.3f, %.3f, %.3f)",
-                     phase, est.c, est.fraction(grid), mask.fraction,
+                     phase, est.c, est_fraction, mask.fraction,
                      policy.psi.a, policy.psi.b, policy.psi.m_a, policy.psi.m_b)
 
         if cfg.phases > 0:

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "PDLayer",
     "PDLyapunovNet",
+    "Forward",
     "TapeGradient",
     "PretrainDivergence",
     "build_weight",
@@ -72,6 +73,16 @@ def build_weight(layer: PDLayer) -> np.ndarray:
 
 
 @dataclass
+class Forward:
+    """The weights a forward pass built, its activations [x, h1, ..., hL]
+    and V = ||hL||^2 per row."""
+
+    ws: list
+    acts: list
+    v: np.ndarray
+
+
+@dataclass
 class TapeGradient:
     """Result of one reverse pass.
 
@@ -120,27 +131,18 @@ class PDLyapunovNet:
 
     # -- forward -----------------------------------------------------------
 
-    def weights(self) -> list:
-        return [build_weight(l) for l in self.layers]
-
-    def _forward(self, x: np.ndarray, ws=None):
-        """Returns the activation stack [x, h1, ..., hL]."""
-        acts = [x]
-        h = x
-        for w in self.weights() if ws is None else ws:
-            h = np.tanh(h @ w.T)
-            acts.append(h)
-        return acts
-
-    def features(self, x) -> np.ndarray:
-        """v(x): the final hidden activation."""
+    def forward(self, x) -> Forward:
+        """One pass over a batch (n, 2), kept for a reverse pass over it."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._forward(x)[-1]
+        ws = [build_weight(l) for l in self.layers]
+        acts = [x]
+        for w in ws:
+            acts.append(np.tanh(acts[-1] @ w.T))
+        return Forward(ws, acts, np.einsum("ij,ij->i", acts[-1], acts[-1]))
 
     def value(self, x) -> np.ndarray:
         """V(x) = ||v(x)||^2 for a batch (n, 2); returns (n,)."""
-        v = self.features(x)
-        return np.einsum("ij,ij->i", v, v)
+        return self.forward(x).v
 
     def value_at(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -148,11 +150,15 @@ class PDLyapunovNet:
     # -- reverse mode ------------------------------------------------------
 
     def backward(self, x: np.ndarray, out_weights: np.ndarray,
-                 extra_weights: np.ndarray | None = None) -> TapeGradient:
+                 extra_weights: np.ndarray | None = None,
+                 fwd: Forward | None = None) -> TapeGradient:
         """Reverse pass for S = sum_i out_weights[i] * V(x[i]).
 
         Returns per-sample input gradients (row i is the gradient of
         ``out_weights[i] * V(x[i])``) and parameter gradients of S.
+
+        ``fwd``, this net's :meth:`forward` of ``x`` taken by a caller that
+        needed V for the weights, replaces the pass's own forward.
 
         ``extra_weights`` (m,) is a second weight column for the first m rows
         of ``x``.  The parameter gradient of sum_i extra_weights[i] * V(x[i])
@@ -160,10 +166,10 @@ class PDLyapunovNet:
         returned as ``d_params_extra``, so a caller can treat the two sums
         differently (clip one, not the other) without a second pass.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if fwd is None:
+            fwd = self.forward(x)
+        ws, acts = fwd.ws, fwd.acts
         out_weights = np.asarray(out_weights, dtype=float)
-        ws = self.weights()
-        acts = self._forward(x, ws)
         delta = 2.0 * out_weights[:, None] * acts[-1]      # dS/dh_L
         d_weights = [None] * len(ws)
         m = 0 if extra_weights is None else len(extra_weights)
@@ -274,9 +280,10 @@ def pretrain_quadratic(net: PDLyapunovNet, grid_points: np.ndarray,
     for step in range(steps):
         idx = rng.integers(0, n, size=min(batch, n))
         xb = grid_points[idx]
-        err = net.value(xb) - target_all[idx]
+        fwd = net.forward(xb)
+        err = fwd.v - target_all[idx]
         # d/dtheta mean(err^2) via weights 2*err/m on each sample's V
-        tape = net.backward(xb, 2.0 * err / len(xb))
+        tape = net.backward(xb, 2.0 * err / len(xb), fwd=fwd)
         net.sgd_step(tape.d_params, lr)
         if (step + 1) % 1000 == 0:
             mse = grid_mse()
@@ -318,19 +325,28 @@ def save_net(net: PDLyapunovNet, path):
 
 
 def load_net(path) -> PDLyapunovNet:
+    """Read a checkpoint; a truncated or malformed file raises a ValueError
+    that names the defect."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head, _, payload = blob.partition(b"\n\n")
-    lines = head.decode("ascii").splitlines()
-    magic, version = lines[0].rsplit(" ", 1)
-    if magic != CHECKPOINT_MAGIC or int(version) != CHECKPOINT_VERSION:
+    lines = head.decode("ascii", "replace").splitlines()
+    if not lines or lines[0] != f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}":
         raise ValueError(f"not a version-{CHECKPOINT_VERSION} {CHECKPOINT_MAGIC} file")
-    eps = float(lines[1].split()[1])
-    widths = [int(t) for t in lines[2].split()[1:]]
-    layers = []
-    for d_in, d_out in zip(widths[:-1], widths[1:]):
-        layers.append(PDLayer(np.zeros((d_in, d_in)), np.zeros((d_out - d_in, d_in)), eps))
-    net = PDLyapunovNet(layers)
+    if len(lines) < 3:
+        raise ValueError(f"checkpoint header is truncated: {len(lines)} of 3 lines")
+    try:
+        (key_eps, eps), (key_widths, *widths) = lines[1].split(), lines[2].split()
+        widths = [int(w) for w in widths]
+        if (key_eps, key_widths) != ("eps", "widths") or len(widths) < 2:
+            raise ValueError
+        net = PDLyapunovNet([PDLayer(np.zeros((d_in, d_in)), np.zeros((d_out - d_in, d_in)),
+                                     float(eps))
+                             for d_in, d_out in zip(widths[:-1], widths[1:])])
+    except ValueError:
+        raise ValueError(f"malformed checkpoint header {lines[1:3]}: expected "
+                         "'eps <positive float>' and 'widths <d0> <d1> ...' with "
+                         "non-decreasing widths") from None
     vec = np.frombuffer(payload, dtype="<f8", count=len(net.flat_params()))
     net.set_flat_params(vec.astype(float))
     return net

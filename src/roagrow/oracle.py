@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import out_of_box
 from .grid import GridDomain
+from .roa_estimator import gap_ring
 
 __all__ = [
     "RoaMask",
     "true_roa",
-    "mask_measure",
     "sym_diff_measure",
     "gap_growth_check",
     "save_mask_pgm",
@@ -66,7 +67,6 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
         raise ValueError("k_max must be >= 1")
     if box is None:
         box = grid.safety_box()
-    (tlo, thi), (wlo, whi) = box
 
     x = grid.centers().copy()
     n = len(x)
@@ -80,8 +80,7 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
         if len(active) == 0:
             break
         xa = f(x[active])
-        out = ((xa[:, 0] < tlo) | (xa[:, 0] > thi)
-               | (xa[:, 1] < wlo) | (xa[:, 1] > whi))
+        out = out_of_box(xa, box)
         x[active[~out]] = xa[~out]
         failed[active[out]] = True
 
@@ -103,11 +102,6 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
         active = np.flatnonzero(~converged & ~failed)
 
     return RoaMask(converged, grid.n_theta, grid.n_omega)
-
-
-def mask_measure(mask: RoaMask) -> float:
-    """Grid-cell fraction, the working realization of the domain measure."""
-    return mask.fraction
 
 
 def sym_diff_measure(a: RoaMask, b: RoaMask) -> float:
@@ -137,7 +131,7 @@ def gap_growth_check(c: float, alphas, grid: GridDomain) -> dict:
                              "a first-order expansion around the level set")
         if np.sqrt(alpha * c) >= min(half_t, half_w):
             raise ValueError("level set touches the grid boundary")
-        counted = float(((v >= c) & (v < alpha * c)).sum()) * grid.cell_area
+        counted = float(gap_ring(v, c, alpha).sum()) * grid.cell_area
         predicted = np.pi * c * (alpha - 1.0)
         rel = abs(counted - predicted) / predicted if predicted > 0 else 0.0
         out[alpha] = (counted, predicted, rel)
@@ -158,12 +152,20 @@ def save_mask_pgm(mask: RoaMask, path):
 
 
 def load_mask_pgm(path) -> RoaMask:
+    """Read a mask written by :func:`save_mask_pgm`; a truncated or malformed
+    file raises a ValueError that names the defect."""
     with open(path, "rb") as fh:
         blob = fh.read()
     parts = blob.split(b"\n", 3)
     if parts[0] != b"P5":
         raise ValueError("not a binary PGM file")
-    n_theta, n_omega = (int(t) for t in parts[1].split())
+    if len(parts) < 4:
+        raise ValueError("PGM header is truncated: expected size and maxval lines")
+    dims = parts[1].split()
+    if len(dims) != 2 or not all(d.isdigit() for d in dims) or parts[2] != b"255":
+        raise ValueError(f"malformed PGM header {parts[1]!r}, {parts[2]!r}: "
+                         "expected '<width> <height>' and '255'")
+    n_theta, n_omega = (int(d) for d in dims)
     data = np.frombuffer(parts[3], dtype=np.uint8, count=n_theta * n_omega)
     return RoaMask(data > 0, n_theta, n_omega)
 

@@ -19,6 +19,7 @@ __all__ = [
     "sat_slope",
     "policy_eval",
     "policy_grad_psi",
+    "project_psi",
     "crop_update",
 ]
 
@@ -113,15 +114,26 @@ def policy_grad_psi(state, pol: SatPolicy) -> np.ndarray:
     return grad
 
 
+def project_psi(values: np.ndarray) -> np.ndarray:
+    """Make raw (a, b, m_a, m_b) a valid shape: outer slopes clipped to >= 0,
+    then b projected down to a if it lies above it."""
+    out = np.array(values, dtype=float)
+    out[2] = max(out[2], 0.0)
+    out[3] = max(out[3], 0.0)
+    if out[1] > out[0]:
+        out[1] = out[0]
+    return out
+
+
 def crop_update(old_psi: SatParams, proposed_psi,
                 crop_radius: float) -> SatParams:
     """Clamp every trainable entry to within crop_radius of its old value.
 
     Bounding the per-phase policy change keeps the induced RoA moving
-    continuously.  After clamping, b <= a is re-enforced by projecting b down
-    to a, and the outer slopes are projected back to >= 0.  ``proposed_psi``
-    may be a SatParams or a raw (a, b, m_a, m_b) array; the raw form admits
-    unordered proposals straight out of a gradient step.
+    continuously.  After clamping, :func:`project_psi` makes the shape valid
+    again.  ``proposed_psi`` may be a SatParams or a raw (a, b, m_a, m_b)
+    array; the raw form admits unordered proposals straight out of a gradient
+    step.
     """
     if crop_radius <= 0:
         raise ValueError("crop_radius must be positive")
@@ -135,8 +147,4 @@ def crop_update(old_psi: SatParams, proposed_psi,
     mask = np.array(old_psi.trainable, dtype=bool)
     out = old.copy()
     out[mask] = np.clip(new[mask], old[mask] - crop_radius, old[mask] + crop_radius)
-    out[2] = max(out[2], 0.0)
-    out[3] = max(out[3], 0.0)
-    if out[1] > out[0]:
-        out[1] = out[0]
-    return old_psi.with_array(out)
+    return old_psi.with_array(project_psi(out))

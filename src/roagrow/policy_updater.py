@@ -15,9 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dynamics import out_of_box
 from .grid import GridDomain
-from .policy import SatPolicy, policy_grad_psi, sat_slope
-from .roa_estimator import LevelSetEstimate
+from .policy import (SatPolicy, crop_update, policy_grad_psi, project_psi,
+                     sat_slope)
+from .roa_estimator import LevelSetEstimate, draw_mixture, gap_ring
 
 __all__ = [
     "PolicyUpdHyper",
@@ -77,7 +79,7 @@ def sample_policy_batch(est: LevelSetEstimate, hyper: PolicyUpdHyper,
                         grid: GridDomain, rng: np.random.Generator):
     """Mixture of the gap ring (weight beta_p) and the estimate's interior."""
     v = est.net.value(grid.centers())
-    gap_cells = np.flatnonzero((v >= est.c) & (v < hyper.gamma_p * est.c))
+    gap_cells = np.flatnonzero(gap_ring(v, est.c, hyper.gamma_p))
     in_cells = np.flatnonzero(v < est.c)
     gap_empty = gap_cells.size == 0
     if gap_empty:
@@ -88,14 +90,8 @@ def sample_policy_batch(est: LevelSetEstimate, hyper: PolicyUpdHyper,
         in_cells = gap_cells
     if gap_cells.size == 0:            # both empty: degenerate estimate
         gap_cells = in_cells = np.arange(grid.n_cells)
-    n = hyper.batch_size
-    take_gap = rng.random(n) < hyper.beta_p
-    idx = np.empty(n, dtype=int)
-    n_gap = int(take_gap.sum())
-    if n_gap:
-        idx[take_gap] = gap_cells[rng.integers(0, gap_cells.size, size=n_gap)]
-    idx[~take_gap] = in_cells[rng.integers(0, in_cells.size, size=n - n_gap)]
-    return grid.jitter_within(idx, rng), gap_empty
+    return (draw_mixture(gap_cells, in_cells, hyper.beta_p, hyper.batch_size,
+                         grid, rng), gap_empty)
 
 
 def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
@@ -105,7 +101,6 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
     Jacobians become the identity and their control sensitivities vanish, so
     the reverse products truncate there automatically.
     """
-    (tlo, thi), (wlo, whi) = box
     n = len(x0s)
     x = np.array(x0s, dtype=float)
     alive = np.ones(n, dtype=bool)
@@ -122,8 +117,7 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
         jac = dfdx + dfdu[None, :, None] * du_dx[:, None, :]
         du_dpsi = policy_grad_psi(x, pol)
         xn = clm(x)
-        out = ((xn[:, 0] < tlo) | (xn[:, 0] > thi)
-               | (xn[:, 1] < wlo) | (xn[:, 1] > whi))
+        out = out_of_box(xn, box)
         newly_dead = alive & out
         frozen = ~alive | newly_dead
         jac[frozen] = eye
@@ -195,10 +189,15 @@ def signal_diagnostics(clm, est: LevelSetEstimate, x0s, steps: int,
     there) and the policy stops receiving information.
     """
     _, grad, g_final, jacs = _bptt(clm, est, x0s, steps, lambda_u, box)
+    return _diagnostics(grad, g_final, jacs)
+
+
+def _diagnostics(grad, g_final, jacs) -> SignalDiagnostics:
+    """:class:`SignalDiagnostics` from the results of one :func:`_bptt`."""
     n_steps = len(jacs)
     norms = np.empty(n_steps + 1)
     norms[n_steps] = 1.0
-    prod = np.broadcast_to(np.eye(2), (len(x0s), 2, 2)).copy()
+    prod = np.broadcast_to(np.eye(2), (len(g_final), 2, 2)).copy()
     for k in range(n_steps - 1, -1, -1):
         prod = np.einsum("nij,njk->nik", prod, jacs[k])
         norms[k] = float(np.mean(np.linalg.svd(prod, compute_uv=False)[:, 0]))
@@ -210,16 +209,6 @@ def signal_diagnostics(clm, est: LevelSetEstimate, x0s, steps: int,
                              weak)
 
 
-def _project_psi(psi_vec: np.ndarray) -> np.ndarray:
-    """Keep the saturation shape well formed during training."""
-    out = psi_vec.copy()
-    out[2] = max(out[2], 0.0)
-    out[3] = max(out[3], 0.0)
-    if out[1] > out[0]:
-        out[1] = out[0]
-    return out
-
-
 def update_policy(pol: SatPolicy, est: LevelSetEstimate, f_builder,
                   hyper: PolicyUpdHyper, grid: GridDomain,
                   rng: np.random.Generator, box=None):
@@ -229,8 +218,6 @@ def update_policy(pol: SatPolicy, est: LevelSetEstimate, f_builder,
     final parameters are cropped against the phase-start values so the induced
     RoA cannot jump.
     """
-    from .policy import crop_update
-
     if box is None:
         box = grid.safety_box()
     x0s, gap_empty = sample_policy_batch(est, hyper, grid, rng)
@@ -239,12 +226,10 @@ def update_policy(pol: SatPolicy, est: LevelSetEstimate, f_builder,
         clm = f_builder(pol)
         _, grad, _, _ = _bptt(clm, est, x0s, hyper.rollout_steps,
                               hyper.lambda_u, box)
-        vec = _project_psi(pol.psi.as_array() - hyper.lr * grad)
+        vec = project_psi(pol.psi.as_array() - hyper.lr * grad)
         pol = replace(pol, psi=pol.psi.with_array(vec))
     pol = replace(pol, psi=crop_update(start_psi, pol.psi, pol.crop_radius))
-    clm = f_builder(pol)
-    loss, grad, g_final, jacs = _bptt(clm, est, x0s, hyper.rollout_steps,
-                                      hyper.lambda_u, box)
-    diag = signal_diagnostics(clm, est, x0s, hyper.rollout_steps,
-                              hyper.lambda_u, box)
-    return pol, PolicyUpdateRecord(loss, diag, gap_empty)
+    loss, grad, g_final, jacs = _bptt(f_builder(pol), est, x0s,
+                                      hyper.rollout_steps, hyper.lambda_u, box)
+    return pol, PolicyUpdateRecord(loss, _diagnostics(grad, g_final, jacs),
+                                   gap_empty)

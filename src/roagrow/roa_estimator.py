@@ -24,6 +24,8 @@ __all__ = [
     "LabeledBatch",
     "GrowthRecord",
     "DegenerateLevelError",
+    "gap_ring",
+    "draw_mixture",
     "sample_mixture",
     "label_batch",
     "roa_loss",
@@ -81,12 +83,6 @@ class LevelSetEstimate:
         if self.c <= 0:
             raise ValueError("level value must be positive")
 
-    def mask(self, grid: GridDomain) -> np.ndarray:
-        return self.net.value(grid.centers()) < self.c
-
-    def fraction(self, grid: GridDomain) -> float:
-        return float(self.mask(grid).sum()) / grid.n_cells
-
 
 @dataclass
 class LabeledBatch:
@@ -104,6 +100,26 @@ class GrowthRecord:
     gap_empty: bool
 
 
+def gap_ring(v: np.ndarray, c: float, gamma: float) -> np.ndarray:
+    """Cells of the ring S_{gamma c} \\ S_c, from the grid values ``v``."""
+    return (v >= c) & (v < gamma * c)
+
+
+def draw_mixture(gap_cells: np.ndarray, other_cells: np.ndarray, beta: float,
+                 n: int, grid: GridDomain, rng: np.random.Generator):
+    """The mixture draw of both samplers; an empty ``gap_cells`` sends every
+    draw to ``other_cells``."""
+    take_gap = rng.random(n) < beta
+    if gap_cells.size == 0:
+        take_gap[:] = False
+    idx = np.empty(n, dtype=int)
+    n_gap = int(take_gap.sum())
+    if n_gap:
+        idx[take_gap] = gap_cells[rng.integers(0, gap_cells.size, size=n_gap)]
+    idx[~take_gap] = other_cells[rng.integers(0, other_cells.size, size=n - n_gap)]
+    return grid.jitter_within(idx, rng)
+
+
 def sample_mixture(est: LevelSetEstimate, gamma: float, beta: float, n: int,
                    grid: GridDomain, rng: np.random.Generator):
     """Draw n states: with probability beta a uniform cell of the gap ring
@@ -114,19 +130,12 @@ def sample_mixture(est: LevelSetEstimate, gamma: float, beta: float, n: int,
     mixture degenerates to domain sampling and the flag is set.
     """
     v = est.net.value(grid.centers())
-    gap_cells = np.flatnonzero((v >= est.c) & (v < gamma * est.c))
+    gap_cells = np.flatnonzero(gap_ring(v, est.c, gamma))
     gap_empty = bool(gap_cells.size == 0)
     if gap_empty:
         log.warning("gap ring is empty on the grid; sampling the whole domain")
-    take_gap = rng.random(n) < beta
-    if gap_empty:
-        take_gap[:] = False
-    idx = np.empty(n, dtype=int)
-    n_gap = int(take_gap.sum())
-    if n_gap:
-        idx[take_gap] = gap_cells[rng.integers(0, gap_cells.size, size=n_gap)]
-    idx[~take_gap] = rng.integers(0, grid.n_cells, size=n - n_gap)
-    return grid.jitter_within(idx, rng), gap_empty
+    return (draw_mixture(gap_cells, np.arange(grid.n_cells), beta, n, grid, rng),
+            gap_empty)
 
 
 def label_batch(x0s: np.ndarray, f_pi, est: LevelSetEstimate,
@@ -142,25 +151,12 @@ def label_batch(x0s: np.ndarray, f_pi, est: LevelSetEstimate,
     return LabeledBatch(x_in=x0s[inside], x_out=x0s[~inside])
 
 
-def _loss_pieces(net: PDLyapunovNet, x_in, x_out, xin_next, prev_vals, hyper):
-    """Forward pass shared by the loss value and its parameter gradient.
-
-    Returns (loss, v_in, v_out, v_next) where the v arrays come from a single
-    evaluation of the current net.
-    """
-    n_in, n_out = len(x_in), len(x_out)
-    stacked = [a for a in (x_in, x_out, xin_next) if len(a)]
-    if stacked:
-        v_all = net.value(np.concatenate(stacked, axis=0))
-    else:
-        v_all = np.zeros(0)
-    v_in = v_all[:n_in]
-    v_out = v_all[n_in:n_in + n_out]
-    v_next = v_all[n_in + n_out:]
-    loss = float(np.sum(v_in - C_BAR) - np.sum(v_out - C_BAR)
+def _loss(v: np.ndarray, n_in: int, n_out: int, prev_vals, hyper) -> float:
+    """The loss from V on the rows [x_in; x_out; f_pi(x_in)]."""
+    v_in, v_out, v_next = v[:n_in], v[n_in:n_in + n_out], v[n_in + n_out:]
+    return float(np.sum(v_in - C_BAR) - np.sum(v_out - C_BAR)
                  + hyper.lambda_roa * np.sum(v_next - v_in)
                  + hyper.lambda_monot * np.sum((v_in - prev_vals) ** 2))
-    return loss, v_in, v_out, v_next
 
 
 def roa_loss(net: PDLyapunovNet, x_in, x_out, f_pi,
@@ -177,8 +173,8 @@ def roa_loss(net: PDLyapunovNet, x_in, x_out, f_pi,
     x_out = np.atleast_2d(np.asarray(x_out, dtype=float)).reshape(-1, 2)
     xin_next = f_pi(x_in) if len(x_in) else x_in
     prev_vals = prev.net.value(prev_f(x_in)) if len(x_in) else np.zeros(0)
-    loss, _, _, _ = _loss_pieces(net, x_in, x_out, xin_next, prev_vals, hyper)
-    return loss
+    v = net.value(np.concatenate([x_in, x_out, xin_next]))
+    return _loss(v, len(x_in), len(x_out), prev_vals, hyper)
 
 
 def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
@@ -195,19 +191,18 @@ def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
     terms it would be scaled to about 1e-10 per step and have no effect.
     Its gradient comes from a second weight column of the same reverse pass.
     """
-    loss, v_in, v_out, v_next = _loss_pieces(net, x_in, x_out, xin_next,
-                                             prev_vals, hyper)
-    w_in = np.full(len(x_in), 1.0 - hyper.lambda_roa)
-    w_out = np.full(len(x_out), -1.0)
-    w_next = np.full(len(x_in), hyper.lambda_roa)
-    stacked = [a for a in (x_in, x_out, xin_next) if len(a)]
-    weights = np.concatenate([w for w in (w_in, w_out, w_next) if len(w)])
-    n_batch = max(1, len(x_in) + len(x_out))
+    n_in, n_out = len(x_in), len(x_out)
+    x = np.concatenate([x_in, x_out, xin_next])
+    fwd = net.forward(x)
+    loss = _loss(fwd.v, n_in, n_out, prev_vals, hyper)
+    weights = np.concatenate([np.full(n_in, 1.0 - hyper.lambda_roa),
+                              np.full(n_out, -1.0),
+                              np.full(n_in, hyper.lambda_roa)])
+    n_batch = max(1, n_in + n_out)
     w_monot = None
-    if hyper.lambda_monot and len(x_in):
-        w_monot = 2.0 * hyper.lambda_monot * (v_in - prev_vals) / n_batch
-    tape = net.backward(np.concatenate(stacked, axis=0), weights / n_batch,
-                        extra_weights=w_monot)
+    if hyper.lambda_monot and n_in:
+        w_monot = 2.0 * hyper.lambda_monot * (fwd.v[:n_in] - prev_vals) / n_batch
+    tape = net.backward(x, weights / n_batch, extra_weights=w_monot, fwd=fwd)
     d_params = tape.d_params
     norm = np.sqrt(sum(float((g1 ** 2).sum() + (g2 ** 2).sum())
                        for g1, g2 in d_params))

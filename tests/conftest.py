@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, set before numpy loads: the suite's timings stay stable
+# with other work beside it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

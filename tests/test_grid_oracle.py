@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roagrow.grid import GridDomain
-from roagrow.oracle import (RoaMask, gap_growth_check, load_mask_pgm, mask_measure,
+from roagrow.oracle import (RoaMask, gap_growth_check, load_mask_pgm,
                             save_mask_csv, save_mask_pgm, sym_diff_measure, true_roa)
 
 
@@ -92,7 +92,7 @@ class TestMeasures:
     def test_mask_measure_counts_cells(self):
         values = np.zeros(100, dtype=bool)
         values[:25] = True
-        assert mask_measure(RoaMask(values, 10, 10)) == 0.25
+        assert RoaMask(values, 10, 10).fraction == 0.25
 
     def test_nearby_policies_have_nearby_roas(self, cfg, lqr, params, grid):
         # continuity diagnostic: one crop-radius of threshold change moves the
@@ -150,6 +150,18 @@ class TestMaskSerialization:
         save_mask_pgm(mask, p1)
         save_mask_pgm(mask, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("blob, defect", [
+        (b"P5\n10 10\n", "truncated"),
+        (b"P5\n10\n255\n" + bytes(100), "malformed"),
+        (b"P5\n10 x\n255\n" + bytes(100), "malformed"),
+        (b"P5\n2 2\n1\n" + bytes(4), "malformed"),
+    ], ids=["no-maxval", "one-dim", "bad-dim", "bad-maxval"])
+    def test_bad_header_names_the_defect(self, tmp_path, blob, defect):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=defect):
+            load_mask_pgm(path)
 
     def test_csv_shape(self, tmp_path):
         mask = RoaMask(np.zeros(10_000, dtype=bool), 100, 100)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import roagrow.lyapunov as lyapunov
+from roagrow.grid import GridDomain
 from roagrow.lyapunov import (PDLayer, PDLyapunovNet, PretrainDivergence,
                               build_weight, load_net, pretrain_quadratic,
                               quadratic_target, save_net)
@@ -40,7 +42,7 @@ class TestBuildWeight:
 class TestForward:
     def test_value_zero_at_origin(self, small_net):
         assert small_net.value_at([0.0, 0.0]) == 0.0
-        assert np.all(small_net.features(np.zeros((1, 2))) == 0.0)
+        assert np.all(small_net.forward(np.zeros((1, 2))).acts[-1] == 0.0)
 
     def test_positive_on_grid(self, small_net, grid):
         v = small_net.value(grid.centers())
@@ -50,7 +52,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (5, 2))
         v = small_net.value(x)
-        feats = small_net.features(x)
+        feats = small_net.forward(x).acts[-1]
         assert np.allclose(v, np.sum(feats ** 2, axis=1))
 
     def test_copy_is_independent(self, small_net):
@@ -148,6 +150,21 @@ class TestPretraining:
             outs.append(net.flat_params())
         assert np.array_equal(outs[0], outs[1])
 
+    def test_one_forward_per_step(self, small_net, monkeypatch):
+        points = GridDomain(n_theta=10, n_omega=10).centers()
+        built = []
+        build = lyapunov.build_weight
+        monkeypatch.setattr(lyapunov, "build_weight",
+                            lambda layer: built.append(layer) or build(layer))
+        counts = []
+        for steps in (1, 2):
+            built.clear()
+            pretrain_quadratic(small_net.copy(), points, np.random.default_rng(3),
+                               steps=steps)
+            counts.append(len(built))
+        # the grid MSE before and after adds the same count to both runs
+        assert counts[1] - counts[0] == len(small_net.layers)
+
     def test_isotropic_target_formula(self):
         x = np.array([[1.0, 2.0], [0.5, 0.0]])
         assert np.allclose(quadratic_target(x, 0.1), [0.5, 0.025])
@@ -162,6 +179,22 @@ class TestCheckpoint:
         assert loaded.layers[0].eps == small_net.layers[0].eps
         x = np.array([[0.3, -0.8]])
         assert np.array_equal(loaded.value(x), small_net.value(x))
+
+    @pytest.mark.parametrize("blob, defect", [
+        (b"", "not a version-1"),
+        (b"ROAGROW-LYAPNET 1\n\n", "truncated"),
+        (b"ROAGROW-LYAPNET 1\neps 0.01\n\n", "truncated"),
+        (b"ROAGROW-LYAPNET 1\neps x\nwidths 2 4\n\n", "malformed"),
+        (b"ROAGROW-LYAPNET 1\nwidths 2 4\neps 0.01\n\n", "malformed"),
+        (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 2\n\n", "malformed"),
+        (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 4 2\n\n", "malformed"),
+    ], ids=["empty", "no-eps", "no-widths", "bad-eps", "swapped", "one-width",
+            "contracting"])
+    def test_bad_header_names_the_defect(self, tmp_path, blob, defect):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=defect):
+            load_net(path)
 
     def test_reject_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

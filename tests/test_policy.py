@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roagrow.policy import (SatParams, SatPolicy, crop_update, policy_eval,
                             policy_grad_psi, sat, sat_slope)
@@ -181,3 +182,24 @@ class TestCropUpdate:
         assert out.a == 0.2 and out.b == -0.2
         assert out.m_a == pytest.approx(0.05)
         assert out.m_b == pytest.approx(0.07)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
+           st.lists(st.floats(0, 5), min_size=2, max_size=2),
+           st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+           st.floats(1e-3, 2.0),
+           st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    def test_projection_property(self, thresholds, slopes, proposal, r, train):
+        # a and b train together in every variant, so b <= a holds before
+        # the step and the projection never has to move a frozen entry
+        a, b = max(thresholds), min(thresholds)
+        trainable = (train[0], train[0], train[1], train[2])
+        old = SatParams(a=a, b=b, m_a=slopes[0], m_b=slopes[1],
+                        trainable=trainable)
+        out = crop_update(old, np.array(proposal), r)
+        assert out.b <= out.a
+        assert out.m_a >= 0 and out.m_b >= 0
+        delta = np.abs(out.as_array() - old.as_array())
+        mask = np.array(trainable)
+        assert np.all(delta[mask] <= r + 1e-12)
+        assert np.all(delta[~mask] == 0.0)

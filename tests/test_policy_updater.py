@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from roagrow.dynamics import ClosedLoopMap
+import roagrow.policy_updater as policy_updater
+from roagrow.dynamics import ClosedLoopMap, closed_loop
 from roagrow.policy import SatParams, SatPolicy
 from roagrow.policy_updater import (PolicyUpdHyper, bptt_grad, policy_loss,
                                     sample_policy_batch, signal_diagnostics,
@@ -264,3 +265,26 @@ class TestUpdatePolicy:
                                  grid, np.random.default_rng(2))
         assert new.psi.a > initial_policy.psi.a
         assert new.psi.b < initial_policy.psi.b
+
+    def test_one_bptt_pass_per_step_and_report(self, initial_policy, grid, cfg,
+                                                params, monkeypatch):
+        est = LevelSetEstimate(QuadV(), 1.0)
+        hyper = replace(cfg.policy_hyper(1), sgd_steps=3)
+        fb = lambda p: closed_loop(p, params)
+        x0s, _ = sample_policy_batch(est, hyper, grid, np.random.default_rng(4))
+        passes = []
+        bptt = policy_updater._bptt
+        monkeypatch.setattr(policy_updater, "_bptt",
+                            lambda *a: passes.append(1) or bptt(*a))
+        new, rec = update_policy(initial_policy, est, fb, hyper, grid,
+                                 np.random.default_rng(4))
+        assert len(passes) == hyper.sgd_steps + 1
+        # the report is the one signal_diagnostics gives for the final policy
+        args = (fb(new), est, x0s, hyper.rollout_steps, hyper.lambda_u,
+                grid.safety_box())
+        diag = signal_diagnostics(*args)
+        assert rec.loss == policy_loss(*args)
+        assert rec.diagnostics.grad_norm_final == diag.grad_norm_final
+        assert rec.diagnostics.grad_norm_psi == diag.grad_norm_psi
+        assert np.array_equal(rec.diagnostics.per_step_jacobian_norms,
+                              diag.per_step_jacobian_norms)

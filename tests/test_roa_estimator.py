@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import roagrow.lyapunov as lyapunov
 from roagrow.roa_estimator import (DegenerateLevelError, LevelSetEstimate,
                                    RoaEstHyper, estimate_roa, label_batch,
                                    line_search_level, roa_loss, sample_mixture,
@@ -236,6 +237,20 @@ class TestRoaLoss:
         expect = net.flatten_grads(
             net.backward(x_in, 2.0 * lam * (v_in - prev_vals) / n_batch).d_params)
         np.testing.assert_allclose(flat_grad() - capped, expect, rtol=1e-10)
+
+    def test_one_forward_per_step(self, small_net, f_initial, monkeypatch):
+        net = small_net.copy()
+        rng = np.random.default_rng(5)
+        x_in = rng.uniform(-0.5, 0.5, (3, 2))
+        x_out = rng.uniform(-1, 1, (4, 2))
+        xin_next = f_initial(x_in)
+        prev_vals = net.value(x_in) + 0.1
+        built = []
+        build = lyapunov.build_weight
+        monkeypatch.setattr(lyapunov, "build_weight",
+                            lambda layer: built.append(layer) or build(layer))
+        _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, RoaEstHyper())
+        assert len(built) == len(net.layers)
 
 
 class TestLineSearch:
