@@ -25,7 +25,8 @@ import numpy as np
 from .config import RedesignConfig, dump_config
 from .dynamics import closed_loop, dare_lqr, linearize, step_euler
 from .grid import GridDomain
-from .lyapunov import PDLyapunovNet, pretrain_quadratic, save_net
+from .lyapunov import (PDLyapunovNet, pretrain_quadratic,
+                       quadratic_target, save_net)
 from .oracle import save_mask_csv, save_mask_pgm, true_roa
 from .roa_estimator import (LevelSetEstimate, estimate_roa, gap_ring,
                             line_search_level)
@@ -167,7 +168,7 @@ def pretrain_target_values(cfg: RedesignConfig, grid: GridDomain, p_mat):
     """Per-cell pretraining targets: either the isotropic quadratic or the
     LQR cost-to-go shape rescaled to the same overall magnitude."""
     pts = grid.centers()
-    iso = cfg.pretrain_coeff * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
+    iso = quadratic_target(pts, cfg.pretrain_coeff)
     if cfg.pretrain_target == "isotropic":
         return iso
     v_p = np.einsum("ni,ij,nj->n", pts, p_mat, pts)
@@ -178,12 +179,10 @@ def pretrain_net(cfg: RedesignConfig, grid: GridDomain, rng) -> tuple:
     """Initialize and pretrain the Lyapunov net per the configuration."""
     k_gain, p_mat = _design_lqr(cfg, cfg.pendulum_params())
     net = PDLyapunovNet.initialize(rng, cfg.net_widths(), cfg.pd_eps)
-    stats = pretrain_quadratic(net, grid.centers(), rng,
-                               coeff=cfg.pretrain_coeff,
-                               lr=cfg.pretrain_lr,
-                               steps=cfg.pretrain_steps,
-                               batch=cfg.pretrain_batch,
-                               target=pretrain_target_values(cfg, grid, p_mat))
+    stats = pretrain_quadratic(net, grid.centers(),
+                               pretrain_target_values(cfg, grid, p_mat), rng,
+                               lr=cfg.pretrain_lr, steps=cfg.pretrain_steps,
+                               batch=cfg.pretrain_batch)
     return net, stats, k_gain, p_mat
 
 
@@ -231,10 +230,12 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
         note_time("pretrain", t0)
         log.info("pretraining MSE %.4g -> %.4g", pre["initial_mse"], pre["final_mse"])
         save_net(net, out / "checkpoints" / "net_phase_00.ckpt")
-        v_grid = net.value(grid.centers())
+        centers = grid.centers()
+        v_grid = net.value(centers)
         emit_heatmap(v_grid, out / "heatmaps" / "pretrain_v.pgm",
                      grid.n_theta, grid.n_omega)
-        est = LevelSetEstimate(net, line_search_level(net, f_cur, grid))
+        est = LevelSetEstimate(net, line_search_level(
+            v_grid, net.value(f_cur(centers)), grid))
 
         mask = oracle_mask(f_cur, "oracle_baseline")
         oracle_fractions = [mask.fraction]
@@ -248,8 +249,8 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
         level_history = []
         for phase in range(1, cfg.phases + 1):
             t0 = time.perf_counter()
-            est, growth = estimate_roa(prev_est, prev_f, f_cur,
-                                       cfg.roa_hyper(phase), grid, rng, box)
+            est, v_grid, growth = estimate_roa(prev_est, v_grid, prev_f, f_cur,
+                                               cfg.roa_hyper(phase), grid, rng, box)
             note_time(f"estimate_phase_{phase:02d}", t0)
             for rec in growth:
                 metrics.add(phase=phase, iter=rec.iteration, kind="growth",
@@ -260,7 +261,6 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
             save_net(est.net, out / "checkpoints" / f"net_phase_{phase:02d}.ckpt")
 
             # soundness of the fresh estimate against the matching oracle mask
-            v_grid = est.net.value(grid.centers())
             est_mask = v_grid < est.c
             est_fraction = float(est_mask.sum()) / grid.n_cells
             unsound = float((est_mask & ~mask.values).sum()) / grid.n_cells
@@ -271,7 +271,7 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
                          grid.n_theta, grid.n_omega)
 
             t0 = time.perf_counter()
-            policy, rec = update_policy(policy, est, f_builder,
+            policy, rec = update_policy(policy, est, v_grid, f_builder,
                                         cfg.policy_hyper(phase), grid, rng, box)
             f_cur = f_builder(policy)
             note_time(f"policy_phase_{phase:02d}", t0)

@@ -31,6 +31,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = "ROAGROW-LYAPNET"
 CHECKPOINT_VERSION = 1
+MSE_CHECK_STEPS = 1000                 # pretraining checks the grid MSE this often
 
 
 class PretrainDivergence(RuntimeError):
@@ -144,9 +145,6 @@ class PDLyapunovNet:
         """V(x) = ||v(x)||^2 for a batch (n, 2); returns (n,)."""
         return self.forward(x).v
 
-    def value_at(self, x) -> float:
-        return float(self.value(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
     # -- reverse mode ------------------------------------------------------
 
     def backward(self, x: np.ndarray, out_weights: np.ndarray,
@@ -206,14 +204,6 @@ class PDLyapunovNet:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.backward(x, np.ones(len(x))).d_input
 
-    def grad_x_at(self, x) -> np.ndarray:
-        return self.grad_x(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-    def grad_params(self, x) -> list:
-        """Gradient of V(x) (summed over the batch) w.r.t. the free blocks."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.backward(x, np.ones(len(x))).d_params
-
     # -- parameter vector utilities -----------------------------------------
 
     def flat_params(self) -> np.ndarray:
@@ -250,32 +240,27 @@ def quadratic_target(x: np.ndarray, coeff: float = 0.1) -> np.ndarray:
 
 
 def pretrain_quadratic(net: PDLyapunovNet, grid_points: np.ndarray,
-                       rng: np.random.Generator, coeff: float = 0.1,
+                       target: np.ndarray, rng: np.random.Generator,
                        lr: float = 0.001, steps: int = 10_000,
-                       batch: int = 256, target=None) -> dict:
-    """Fit V to a quadratic target by mini-batch SGD on the grid points.
+                       batch: int = 256) -> dict:
+    """Fit V to ``target``, one value per grid point, by mini-batch SGD on
+    the grid points (:func:`quadratic_target` gives the isotropic shape).
 
-    The default target is coeff * (theta^2 + omega^2); pass ``target`` (per
-    grid point values or a callable) to fit a different shape, e.g. the LQR
-    cost-to-go.  Mutates ``net`` and returns {initial_mse, final_mse}; raises
+    Mutates ``net`` and returns {initial_mse, final_mse}; raises
     :class:`PretrainDivergence` if the grid MSE grows 10x over its initial
-    value at any checkpoint.
+    value at any check (every ``MSE_CHECK_STEPS`` steps).  A check on the
+    last step serves as the final MSE.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    if target is None:
-        target_all = quadratic_target(grid_points, coeff)
-    elif callable(target):
-        target_all = np.asarray(target(grid_points), dtype=float)
-    else:
-        target_all = np.asarray(target, dtype=float)
+    target_all = np.asarray(target, dtype=float)
     if target_all.shape != (len(grid_points),):
         raise ValueError("target must provide one value per grid point")
 
     def grid_mse() -> float:
         return float(np.mean((net.value(grid_points) - target_all) ** 2))
 
-    initial = grid_mse()
+    initial = mse = grid_mse()
     n = len(grid_points)
     for step in range(steps):
         idx = rng.integers(0, n, size=min(batch, n))
@@ -285,13 +270,13 @@ def pretrain_quadratic(net: PDLyapunovNet, grid_points: np.ndarray,
         # d/dtheta mean(err^2) via weights 2*err/m on each sample's V
         tape = net.backward(xb, 2.0 * err / len(xb), fwd=fwd)
         net.sgd_step(tape.d_params, lr)
-        if (step + 1) % 1000 == 0:
+        if (step + 1) % MSE_CHECK_STEPS == 0:
             mse = grid_mse()
             if not np.isfinite(mse) or mse > 10.0 * initial:
                 raise PretrainDivergence(
                     f"pretraining diverged at step {step + 1}: "
                     f"mse {mse:.4g} vs initial {initial:.4g}")
-    final = grid_mse()
+    final = mse if steps % MSE_CHECK_STEPS == 0 else grid_mse()
     if steps > 0 and final >= initial:
         raise PretrainDivergence(
             f"pretraining failed to reduce the grid MSE ({initial:.4g} -> {final:.4g})")
@@ -347,6 +332,10 @@ def load_net(path) -> PDLyapunovNet:
         raise ValueError(f"malformed checkpoint header {lines[1:3]}: expected "
                          "'eps <positive float>' and 'widths <d0> <d1> ...' with "
                          "non-decreasing widths") from None
-    vec = np.frombuffer(payload, dtype="<f8", count=len(net.flat_params()))
-    net.set_flat_params(vec.astype(float))
+    n_bytes = 8 * len(net.flat_params())
+    if len(payload) < n_bytes:
+        raise ValueError(f"checkpoint payload is truncated: expected {n_bytes} "
+                         f"bytes for widths {widths}, got {len(payload)}")
+    net.set_flat_params(np.frombuffer(payload, dtype="<f8",
+                                      count=n_bytes // 8).astype(float))
     return net

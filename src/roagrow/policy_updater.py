@@ -75,12 +75,12 @@ class PolicyUpdateRecord:
     gap_empty: bool
 
 
-def sample_policy_batch(est: LevelSetEstimate, hyper: PolicyUpdHyper,
+def sample_policy_batch(v_grid: np.ndarray, c: float, hyper: PolicyUpdHyper,
                         grid: GridDomain, rng: np.random.Generator):
-    """Mixture of the gap ring (weight beta_p) and the estimate's interior."""
-    v = est.net.value(grid.centers())
-    gap_cells = np.flatnonzero(gap_ring(v, est.c, hyper.gamma_p))
-    in_cells = np.flatnonzero(v < est.c)
+    """Mixture of the gap ring (weight beta_p) and the interior of S_c, from
+    the values ``v_grid`` of V at the cell centres."""
+    gap_cells = np.flatnonzero(gap_ring(v_grid, c, hyper.gamma_p))
+    in_cells = np.flatnonzero(v_grid < c)
     gap_empty = gap_cells.size == 0
     if gap_empty:
         log.warning("policy sampling gap is empty; using interior cells only")
@@ -209,18 +209,19 @@ def _diagnostics(grad, g_final, jacs) -> SignalDiagnostics:
                              weak)
 
 
-def update_policy(pol: SatPolicy, est: LevelSetEstimate, f_builder,
-                  hyper: PolicyUpdHyper, grid: GridDomain,
+def update_policy(pol: SatPolicy, est: LevelSetEstimate, v_grid: np.ndarray,
+                  f_builder, hyper: PolicyUpdHyper, grid: GridDomain,
                   rng: np.random.Generator, box=None):
     """One policy phase: sample a batch, descend the loss, crop the change.
 
-    Returns ``(new_policy, record)``.  The batch is drawn once per phase; the
-    final parameters are cropped against the phase-start values so the induced
-    RoA cannot jump.
+    ``v_grid`` holds the estimate's V at the cell centres.  Returns
+    ``(new_policy, record)``.  The batch is drawn once per phase; the final
+    parameters are cropped against the phase-start values so the induced RoA
+    cannot jump.
     """
     if box is None:
         box = grid.safety_box()
-    x0s, gap_empty = sample_policy_batch(est, hyper, grid, rng)
+    x0s, gap_empty = sample_policy_batch(v_grid, est.c, hyper, grid, rng)
     start_psi = pol.psi
     for _ in range(hyper.sgd_steps):
         clm = f_builder(pol)

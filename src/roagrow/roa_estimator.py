@@ -120,17 +120,16 @@ def draw_mixture(gap_cells: np.ndarray, other_cells: np.ndarray, beta: float,
     return grid.jitter_within(idx, rng)
 
 
-def sample_mixture(est: LevelSetEstimate, gamma: float, beta: float, n: int,
-                   grid: GridDomain, rng: np.random.Generator):
+def sample_mixture(v_grid: np.ndarray, c: float, gamma: float, beta: float,
+                   n: int, grid: GridDomain, rng: np.random.Generator):
     """Draw n states: with probability beta a uniform cell of the gap ring
     S_{gamma c} \\ S_c, otherwise a uniform cell of the domain, then jitter
-    uniformly within the chosen cell.
+    uniformly within the chosen cell.  ``v_grid`` holds V at the cell centres.
 
     Returns ``(states, gap_empty)``; when the ring contains no grid cell the
     mixture degenerates to domain sampling and the flag is set.
     """
-    v = est.net.value(grid.centers())
-    gap_cells = np.flatnonzero(gap_ring(v, est.c, gamma))
+    gap_cells = np.flatnonzero(gap_ring(v_grid, c, gamma))
     gap_empty = bool(gap_cells.size == 0)
     if gap_empty:
         log.warning("gap ring is empty on the grid; sampling the whole domain")
@@ -215,19 +214,18 @@ def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
     return loss, d_params
 
 
-def line_search_level(net: PDLyapunovNet, f_pi, grid: GridDomain) -> float:
+def line_search_level(v: np.ndarray, v_next: np.ndarray,
+                      grid: GridDomain) -> float:
     """Largest grid V-value c such that S_c stays off the domain boundary and
     every cell of S_c except the nearest-to-origin one strictly decreases.
 
-    Falls back to the smallest admissible grid value when no level works,
-    which leaves an estimate with empty interior.
+    ``v`` and ``v_next`` hold V at the cell centres and at their images under
+    the closed loop.  Falls back to the smallest admissible grid value when no
+    level works, which leaves an estimate with empty interior.
     """
-    centers = grid.centers()
-    v = net.value(centers)
     if float(v.max() - v.min()) < 1e-12:
         raise DegenerateLevelError("V is constant on the grid")
-    dv = net.value(f_pi(centers)) - v
-    violating = (dv >= 0) | grid.boundary_mask()
+    violating = (v_next - v >= 0) | grid.boundary_mask()
     violating[grid.origin_index()] = False
     bad = v[violating]
     # the level is capped by the first violating cell; sublevel sets are
@@ -235,35 +233,41 @@ def line_search_level(net: PDLyapunovNet, f_pi, grid: GridDomain) -> float:
     return float(bad.min()) if bad.size else float(v.max())
 
 
-def estimate_roa(prev_est: LevelSetEstimate, prev_f, f_pi,
+def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
                  hyper: RoaEstHyper, grid: GridDomain,
                  rng: np.random.Generator, box=None):
-    """Run the growth loop and return ``(estimate, records)``.
+    """Run the growth loop and return ``(estimate, v_grid, records)``.
 
     Training starts from a copy of the previous phase's net; ``prev_est`` and
-    ``prev_f`` stay frozen and only feed the monotonicity target.  Each growth
-    iteration consumes an equal share of ``hyper.sgd_steps``.  The returned
-    estimate is the iterate whose line-searched sublevel set covers the most
-    grid cells, so a degraded late iteration cannot erase a good inner
-    estimate found earlier in the phase.
+    ``prev_f`` stay frozen and only feed the monotonicity target, and
+    ``prev_v`` holds the previous net's V at the cell centres.  Each growth
+    iteration consumes an equal share of ``hyper.sgd_steps`` and evaluates the
+    net on the grid twice, at the centres and at their images under ``f_pi``;
+    the values at the centres also serve the next iteration's sampling.  The
+    returned estimate is the iterate whose line-searched sublevel set covers
+    the most grid cells, so a degraded late iteration cannot erase a good
+    inner estimate found earlier in the phase; ``v_grid`` holds its V at the
+    cell centres.
     """
     if box is None:
         box = grid.safety_box()
     net = prev_est.net.copy()
-    c = prev_est.c
+    c, v = prev_est.c, prev_v
     if hyper.growth_iters == 0:
-        return LevelSetEstimate(net, c), []
+        return LevelSetEstimate(net, c), v, []
     steps_per_iter = hyper.sgd_steps // hyper.growth_iters
     if hyper.sgd_steps > 0 and steps_per_iter == 0:
         steps_per_iter = 1
+    centers = grid.centers()
+    next_centers = f_pi(centers)
     records = []
     best = None
     best_frac = -1.0
     for m in range(1, hyper.growth_iters + 1):
-        est = LevelSetEstimate(net, c)
-        x0s, gap_empty = sample_mixture(est, hyper.gamma_r, hyper.beta_r,
+        x0s, gap_empty = sample_mixture(v, c, hyper.gamma_r, hyper.beta_r,
                                         hyper.batch_size, grid, rng)
-        labeled = label_batch(x0s, f_pi, est, hyper.rollout_steps, box)
+        labeled = label_batch(x0s, f_pi, LevelSetEstimate(net, c),
+                              hyper.rollout_steps, box)
         x_in, x_out = labeled.x_in, labeled.x_out
         xin_next = f_pi(x_in) if len(x_in) else x_in
         prev_vals = (prev_est.net.value(prev_f(x_in)) if len(x_in)
@@ -277,12 +281,12 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_f, f_pi,
                     f"non-finite RoA loss at growth iteration {m}: "
                     f"|in|={len(x_in)} |out|={len(x_out)} c={c:.4g}")
             net.sgd_step(d_params, hyper.lr)
-        c = line_search_level(net, f_pi, grid)
-        v_grid = net.value(grid.centers())
-        frac = float((v_grid < c).sum()) / grid.n_cells
-        cbar_frac = float((v_grid < C_BAR).sum()) / grid.n_cells
+        v = net.value(centers)
+        c = line_search_level(v, net.value(next_centers), grid)
+        frac = float((v < c).sum()) / grid.n_cells
+        cbar_frac = float((v < C_BAR).sum()) / grid.n_cells
         records.append(GrowthRecord(m, c, frac, cbar_frac, loss, gap_empty))
         if frac >= best_frac:
-            best = LevelSetEstimate(net.copy(), c)
+            best = (LevelSetEstimate(net.copy(), c), v)
             best_frac = frac
-    return best, records
+    return *best, records

@@ -60,6 +60,17 @@ def pretrained(cfg, grid):
     return net, stats, k, p
 
 
+@pytest.fixture(scope="session")
+def pretrained_level(pretrained, grid, f_initial):
+    """V of the pretrained net at the cell centres and its line-searched
+    level under the initial policy."""
+    from roagrow.roa_estimator import line_search_level
+
+    centers = grid.centers()
+    v = pretrained[0].value(centers)
+    return v, line_search_level(v, pretrained[0].value(f_initial(centers)), grid)
+
+
 # -- end-to-end runs shared by the acceptance suite and trend tests ----------
 
 ACCEPT_SEED = 1

@@ -156,7 +156,9 @@ class TestMaskSerialization:
         (b"P5\n10\n255\n" + bytes(100), "malformed"),
         (b"P5\n10 x\n255\n" + bytes(100), "malformed"),
         (b"P5\n2 2\n1\n" + bytes(4), "malformed"),
-    ], ids=["no-maxval", "one-dim", "bad-dim", "bad-maxval"])
+        (b"P5\n10 10\n255\n" + bytes(7),
+         r"payload is truncated: expected 100 bytes .* got 7"),
+    ], ids=["no-maxval", "one-dim", "bad-dim", "bad-maxval", "short-payload"])
     def test_bad_header_names_the_defect(self, tmp_path, blob, defect):
         path = tmp_path / "m.pgm"
         path.write_bytes(blob)

@@ -41,7 +41,7 @@ class TestBuildWeight:
 
 class TestForward:
     def test_value_zero_at_origin(self, small_net):
-        assert small_net.value_at([0.0, 0.0]) == 0.0
+        assert small_net.value(np.zeros((1, 2)))[0] == 0.0
         assert np.all(small_net.forward(np.zeros((1, 2))).acts[-1] == 0.0)
 
     def test_positive_on_grid(self, small_net, grid):
@@ -63,21 +63,18 @@ class TestForward:
 
 class TestGradients:
     def test_grad_x_zero_at_origin(self, small_net):
-        g = small_net.grad_x_at([0.0, 0.0])
+        g = small_net.grad_x(np.zeros((1, 2)))
         assert np.all(g == 0.0)
 
     def test_grad_x_matches_finite_differences(self, small_net):
         rng = np.random.default_rng(3)
         h = 1e-5
-        for _ in range(50):
-            x = rng.uniform(-1.5, 1.5, 2)
-            g = small_net.grad_x_at(x)
-            fd = np.zeros(2)
-            for i in range(2):
-                e = np.zeros(2)
-                e[i] = h
-                fd[i] = (small_net.value_at(x + e) - small_net.value_at(x - e)) / (2 * h)
-            assert np.abs(g - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4
+        x = rng.uniform(-1.5, 1.5, (50, 2))
+        g = small_net.grad_x(x)
+        fd = np.stack([(small_net.value(x + e) - small_net.value(x - e)) / (2 * h)
+                       for e in h * np.eye(2)], axis=1)
+        rel = np.abs(g - fd).max(axis=1) / np.maximum(1.0, np.abs(fd).max(axis=1))
+        assert np.all(rel < 1e-4)
 
     def test_grad_params_matches_finite_differences(self, small_net):
         rng = np.random.default_rng(4)
@@ -114,7 +111,8 @@ class TestPretraining:
         rng = np.random.default_rng(6)
         net = PDLyapunovNet.initialize(rng)
         before = net.flat_params().copy()
-        pretrain_quadratic(net, grid.centers(), rng, steps=0)
+        points = grid.centers()
+        pretrain_quadratic(net, points, quadratic_target(points), rng, steps=0)
         assert np.array_equal(net.flat_params(), before)
 
     def test_mse_drops_tenfold(self, pretrained, grid):
@@ -132,21 +130,25 @@ class TestPretraining:
 
     def test_positive_definite_after_training(self, pretrained, grid):
         net = pretrained[0]
-        assert net.value_at([0.0, 0.0]) == 0.0
+        assert net.value(np.zeros((1, 2)))[0] == 0.0
         assert np.all(net.value(grid.centers()) > 0.0)
 
     def test_divergence_detected(self, grid):
         rng = np.random.default_rng(7)
         net = PDLyapunovNet.initialize(rng)
+        points = grid.centers()
         with pytest.raises(PretrainDivergence):
-            pretrain_quadratic(net, grid.centers(), rng, lr=50.0, steps=2000)
+            pretrain_quadratic(net, points, quadratic_target(points), rng,
+                               lr=50.0, steps=2000)
 
     def test_deterministic_given_seed(self, grid):
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(11)
             net = PDLyapunovNet.initialize(rng)
-            pretrain_quadratic(net, grid.centers(), rng, steps=200)
+            points = grid.centers()
+            pretrain_quadratic(net, points, quadratic_target(points), rng,
+                               steps=200)
             outs.append(net.flat_params())
         assert np.array_equal(outs[0], outs[1])
 
@@ -159,11 +161,27 @@ class TestPretraining:
         counts = []
         for steps in (1, 2):
             built.clear()
-            pretrain_quadratic(small_net.copy(), points, np.random.default_rng(3),
-                               steps=steps)
+            pretrain_quadratic(small_net.copy(), points, quadratic_target(points),
+                               np.random.default_rng(3), steps=steps)
             counts.append(len(built))
         # the grid MSE before and after adds the same count to both runs
         assert counts[1] - counts[0] == len(small_net.layers)
+
+    def test_last_check_is_the_final_mse(self, small_net, monkeypatch):
+        # more points than the batch of 256, so only grid passes have len(points)
+        points = GridDomain(n_theta=20, n_omega=20).centers()
+        target = quadratic_target(points)
+        net = small_net.copy()
+        grid_passes = []
+        forward = lyapunov.PDLyapunovNet.forward
+        monkeypatch.setattr(lyapunov.PDLyapunovNet, "forward",
+                            lambda n, x: grid_passes.append(len(x) == len(points))
+                            or forward(n, x))
+        stats = pretrain_quadratic(net, points, target, np.random.default_rng(3),
+                                   steps=lyapunov.MSE_CHECK_STEPS)
+        # the initial MSE and the one check, which is also the final MSE
+        assert sum(grid_passes) == 2
+        assert stats["final_mse"] == float(np.mean((net.value(points) - target) ** 2))
 
     def test_isotropic_target_formula(self):
         x = np.array([[1.0, 2.0], [0.5, 0.0]])
@@ -188,8 +206,10 @@ class TestCheckpoint:
         (b"ROAGROW-LYAPNET 1\nwidths 2 4\neps 0.01\n\n", "malformed"),
         (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 2\n\n", "malformed"),
         (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 4 2\n\n", "malformed"),
+        (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 2 4\n\n" + bytes(8),
+         r"payload is truncated: expected 64 bytes .* got 8"),
     ], ids=["empty", "no-eps", "no-widths", "bad-eps", "swapped", "one-width",
-            "contracting"])
+            "contracting", "short-payload"])
     def test_bad_header_names_the_defect(self, tmp_path, blob, defect):
         path = tmp_path / "net.ckpt"
         path.write_bytes(blob)

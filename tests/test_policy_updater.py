@@ -8,7 +8,7 @@ from roagrow.policy import SatParams, SatPolicy
 from roagrow.policy_updater import (PolicyUpdHyper, bptt_grad, policy_loss,
                                     sample_policy_batch, signal_diagnostics,
                                     update_policy)
-from roagrow.roa_estimator import LevelSetEstimate, line_search_level
+from roagrow.roa_estimator import LevelSetEstimate
 
 BIG_BOX = ((-1e9, 1e9), (-1e9, 1e9))
 
@@ -23,6 +23,12 @@ class QuadV:
 
     def grad_x(self, x):
         return 2.0 * self.scale * np.atleast_2d(np.asarray(x, dtype=float))
+
+
+def quad_grid(grid):
+    """V = ||x||^2 at the cell centres."""
+    centers = grid.centers()
+    return centers[:, 0] ** 2 + centers[:, 1] ** 2
 
 
 class ContractionMap(ClosedLoopMap):
@@ -60,35 +66,35 @@ class TestHyper:
 
 class TestSamplePolicyBatch:
     def test_beta_zero_samples_interior(self, grid, cfg):
-        est = LevelSetEstimate(QuadV(), 1.0)
+        v_cells = quad_grid(grid)
         hyper = replace(cfg.policy_hyper(1), beta_p=0.0, batch_size=2000)
-        pts, empty = sample_policy_batch(est, hyper, grid, np.random.default_rng(0))
+        pts, empty = sample_policy_batch(v_cells, 1.0, hyper, grid,
+                                         np.random.default_rng(0))
         assert not empty
-        v_cells = est.net.value(grid.centers())
         assert np.all(v_cells[grid.cell_index(pts)] < 1.0)
 
     def test_beta_one_samples_gap(self, grid, cfg):
-        est = LevelSetEstimate(QuadV(), 1.0)
+        v_cells = quad_grid(grid)
         hyper = replace(cfg.policy_hyper(1), beta_p=1.0, batch_size=2000)
-        pts, empty = sample_policy_batch(est, hyper, grid, np.random.default_rng(1))
+        pts, empty = sample_policy_batch(v_cells, 1.0, hyper, grid,
+                                         np.random.default_rng(1))
         assert not empty
-        v_cells = est.net.value(grid.centers())
         idx = grid.cell_index(pts)
         assert np.all((v_cells[idx] >= 1.0) & (v_cells[idx] < 4.0))
 
     def test_mixture_fraction(self, grid, cfg):
-        est = LevelSetEstimate(QuadV(), 1.0)
+        v_cells = quad_grid(grid)
         hyper = replace(cfg.policy_hyper(1), batch_size=10_000)
-        pts, _ = sample_policy_batch(est, hyper, grid, np.random.default_rng(2))
-        v_cells = est.net.value(grid.centers())
+        pts, _ = sample_policy_batch(v_cells, 1.0, hyper, grid,
+                                     np.random.default_rng(2))
         gap = (v_cells >= 1.0) & (v_cells < 4.0)
         measured = gap[grid.cell_index(pts)].mean()
         assert abs(measured - 0.6) < 0.02
 
     def test_empty_gap_flagged(self, grid, cfg):
-        est = LevelSetEstimate(QuadV(), 1e6)
         hyper = replace(cfg.policy_hyper(1), batch_size=50)
-        pts, empty = sample_policy_batch(est, hyper, grid, np.random.default_rng(3))
+        pts, empty = sample_policy_batch(quad_grid(grid), 1e6, hyper, grid,
+                                         np.random.default_rng(3))
         assert empty and len(pts) == 50
 
 
@@ -229,39 +235,33 @@ class TestSignalDiagnostics:
 
 class TestUpdatePolicy:
     def test_zero_steps_returns_same_policy(self, initial_policy, pretrained,
-                                            grid, cfg, params):
-        from roagrow.dynamics import closed_loop
-
+                                            pretrained_level, grid, cfg, params):
         est = LevelSetEstimate(pretrained[0], 0.05)
         hyper = replace(cfg.policy_hyper(1), sgd_steps=0)
         fb = lambda p: closed_loop(p, params)
-        new, rec = update_policy(initial_policy, est, fb, hyper, grid,
-                                 np.random.default_rng(0))
+        new, rec = update_policy(initial_policy, est, pretrained_level[0], fb,
+                                 hyper, grid, np.random.default_rng(0))
         assert new.psi == initial_policy.psi
 
-    def test_crop_bound_enforced(self, initial_policy, pretrained, grid, cfg,
-                                 params, f_initial):
-        from roagrow.dynamics import closed_loop
-
-        c0 = line_search_level(pretrained[0], f_initial, grid)
+    def test_crop_bound_enforced(self, initial_policy, pretrained,
+                                 pretrained_level, grid, cfg, params):
+        v0, c0 = pretrained_level
         est = LevelSetEstimate(pretrained[0], c0)
         hyper = replace(cfg.policy_hyper(1), sgd_steps=50)
         fb = lambda p: closed_loop(p, params)
-        new, rec = update_policy(initial_policy, est, fb, hyper, grid,
+        new, rec = update_policy(initial_policy, est, v0, fb, hyper, grid,
                                  np.random.default_rng(1))
         delta = np.abs(new.psi.as_array() - initial_policy.psi.as_array())
         assert np.all(delta <= initial_policy.crop_radius + 1e-12)
         assert new.psi.b <= new.psi.a
 
-    def test_thresholds_move_outward(self, initial_policy, pretrained, grid,
-                                     cfg, params, f_initial):
+    def test_thresholds_move_outward(self, initial_policy, pretrained,
+                                     pretrained_level, grid, cfg, params):
         # the experiment-1 direction: the updater relaxes the suppression
-        from roagrow.dynamics import closed_loop
-
-        c0 = line_search_level(pretrained[0], f_initial, grid)
+        v0, c0 = pretrained_level
         est = LevelSetEstimate(pretrained[0], c0)
         fb = lambda p: closed_loop(p, params)
-        new, rec = update_policy(initial_policy, est, fb, cfg.policy_hyper(1),
+        new, rec = update_policy(initial_policy, est, v0, fb, cfg.policy_hyper(1),
                                  grid, np.random.default_rng(2))
         assert new.psi.a > initial_policy.psi.a
         assert new.psi.b < initial_policy.psi.b
@@ -271,13 +271,14 @@ class TestUpdatePolicy:
         est = LevelSetEstimate(QuadV(), 1.0)
         hyper = replace(cfg.policy_hyper(1), sgd_steps=3)
         fb = lambda p: closed_loop(p, params)
-        x0s, _ = sample_policy_batch(est, hyper, grid, np.random.default_rng(4))
+        x0s, _ = sample_policy_batch(quad_grid(grid), est.c, hyper, grid,
+                                     np.random.default_rng(4))
         passes = []
         bptt = policy_updater._bptt
         monkeypatch.setattr(policy_updater, "_bptt",
                             lambda *a: passes.append(1) or bptt(*a))
-        new, rec = update_policy(initial_policy, est, fb, hyper, grid,
-                                 np.random.default_rng(4))
+        new, rec = update_policy(initial_policy, est, quad_grid(grid), fb, hyper,
+                                 grid, np.random.default_rng(4))
         assert len(passes) == hyper.sgd_steps + 1
         # the report is the one signal_diagnostics gives for the final policy
         args = (fb(new), est, x0s, hyper.rollout_steps, hyper.lambda_u,

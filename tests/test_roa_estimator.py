@@ -23,9 +23,10 @@ class QuadV:
         return QuadV(self.scale)
 
 
-class ConstV:
-    def value(self, x):
-        return np.full(len(np.atleast_2d(x)), 3.0)
+def quad_grid(grid):
+    """V = ||x||^2 at the cell centres."""
+    centers = grid.centers()
+    return centers[:, 0] ** 2 + centers[:, 1] ** 2
 
 
 contract = lambda x: 0.5 * np.asarray(x, dtype=float)
@@ -51,31 +52,28 @@ class TestHyper:
 
 class TestSampleMixture:
     def test_beta_zero_is_domain_sampling(self, grid):
-        est = LevelSetEstimate(QuadV(), 1.0)
+        v = quad_grid(grid)
         rng = np.random.default_rng(0)
-        pts, empty = sample_mixture(est, 4.0, 0.0, 10_000, grid, rng)
+        pts, empty = sample_mixture(v, 1.0, 4.0, 0.0, 10_000, grid, rng)
         assert not empty
-        v = est.net.value(grid.centers())
         gap_cells = (v >= 1.0) & (v < 4.0)
         frac = gap_cells[grid.cell_index(pts)].mean()
         expect = gap_cells.mean()
         assert abs(frac - expect) < 0.02
 
     def test_beta_one_samples_only_the_gap(self, grid):
-        est = LevelSetEstimate(QuadV(), 1.0)
+        v_cells = quad_grid(grid)
         rng = np.random.default_rng(1)
-        pts, empty = sample_mixture(est, 4.0, 1.0, 2000, grid, rng)
+        pts, empty = sample_mixture(v_cells, 1.0, 4.0, 1.0, 2000, grid, rng)
         assert not empty
-        v_cells = est.net.value(grid.centers())
         idx = grid.cell_index(pts)
         assert np.all((v_cells[idx] >= 1.0) & (v_cells[idx] < 4.0))
 
     def test_mixture_fraction_matches_expectation(self, grid):
-        est = LevelSetEstimate(QuadV(), 1.0)
+        v = quad_grid(grid)
         rng = np.random.default_rng(2)
         beta = 0.6
-        pts, _ = sample_mixture(est, 4.0, beta, 10_000, grid, rng)
-        v = est.net.value(grid.centers())
+        pts, _ = sample_mixture(v, 1.0, 4.0, beta, 10_000, grid, rng)
         gap_cells = (v >= 1.0) & (v < 4.0)
         measured = gap_cells[grid.cell_index(pts)].mean()
         expect = beta + (1 - beta) * gap_cells.mean()
@@ -83,9 +81,8 @@ class TestSampleMixture:
 
     def test_empty_gap_falls_back_to_domain(self, grid):
         # level so high that the ring has no cells
-        est = LevelSetEstimate(QuadV(), 1e6)
         rng = np.random.default_rng(3)
-        pts, empty = sample_mixture(est, 4.0, 1.0, 100, grid, rng)
+        pts, empty = sample_mixture(quad_grid(grid), 1e6, 4.0, 1.0, 100, grid, rng)
         assert empty
         assert len(pts) == 100
 
@@ -109,25 +106,25 @@ class TestLabelBatch:
         lab = label_batch(x0s, f_initial, est, 10, grid.safety_box())
         assert len(lab.x_in) + len(lab.x_out) == 40
 
-    def test_labels_deterministic(self, f_initial, grid, pretrained):
-        net = pretrained[0]
-        est = LevelSetEstimate(net, 0.05)
+    def test_labels_deterministic(self, f_initial, grid, pretrained,
+                                  pretrained_level):
+        est = LevelSetEstimate(pretrained[0], 0.05)
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(5)
-            pts, _ = sample_mixture(est, 4.0, 0.6, 50, grid, rng)
+            pts, _ = sample_mixture(pretrained_level[0], est.c, 4.0, 0.6, 50,
+                                    grid, rng)
             lab = label_batch(pts, f_initial, est, 10, grid.safety_box())
             outs.append((lab.x_in.copy(), lab.x_out.copy()))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
 
     def test_agrees_with_oracle_away_from_boundary(self, f_initial, grid,
-                                                   pretrained, cfg):
+                                                   pretrained, pretrained_level,
+                                                   cfg):
         from roagrow.oracle import true_roa
 
-        net = pretrained[0]
-        c = line_search_level(net, f_initial, grid)
-        est = LevelSetEstimate(net, c)
+        est = LevelSetEstimate(pretrained[0], pretrained_level[1])
         rng = np.random.default_rng(6)
         idx = rng.integers(0, grid.n_cells, 100)
         pts = grid.jitter_within(idx, rng)
@@ -255,37 +252,33 @@ class TestRoaLoss:
 
 class TestLineSearch:
     def test_contraction_limited_by_boundary(self, grid):
-        net = QuadV()
-        c = line_search_level(net, contract, grid)
-        v = net.value(grid.centers())
+        v = quad_grid(grid)
+        c = line_search_level(v, 0.25 * v, grid)
         boundary_min = v[grid.boundary_mask()].min()
         assert c == pytest.approx(boundary_min)
 
     def test_expansion_returns_minimal_level(self, grid):
-        net = QuadV()
-        c = line_search_level(net, expand, grid)
-        v = net.value(grid.centers())
+        v = quad_grid(grid)
+        c = line_search_level(v, 4.0 * v, grid)
         nonorigin = np.ones(grid.n_cells, dtype=bool)
         nonorigin[grid.origin_index()] = False
         assert c == pytest.approx(v[nonorigin].min())
 
     def test_monotone_nesting(self, grid):
-        net = QuadV()
-        c = line_search_level(net, contract, grid)
-        v = net.value(grid.centers())
+        v = quad_grid(grid)
+        c = line_search_level(v, 0.25 * v, grid)
         for c_smaller in (0.5 * c, 0.1 * c):
             assert np.all((v < c_smaller) <= (v < c))
 
     def test_degenerate_net_rejected(self, grid):
         with pytest.raises(DegenerateLevelError):
-            line_search_level(ConstV(), contract, grid)
+            line_search_level(np.full(grid.n_cells, 3.0),
+                              np.full(grid.n_cells, 3.0), grid)
 
-    def test_soundness_of_returned_level(self, pretrained, f_initial, grid):
-        net = pretrained[0]
-        c = line_search_level(net, f_initial, grid)
-        centers = grid.centers()
-        v = net.value(centers)
-        dv = net.value(f_initial(centers)) - v
+    def test_soundness_of_returned_level(self, pretrained, pretrained_level,
+                                         f_initial, grid):
+        v, c = pretrained_level
+        dv = pretrained[0].value(f_initial(grid.centers())) - v
         inside = v < c
         inside[grid.origin_index()] = False
         assert np.all(dv[inside] < 0)
@@ -293,41 +286,58 @@ class TestLineSearch:
 
 
 class TestEstimateRoa:
-    def test_zero_iterations_returns_previous(self, pretrained, f_initial, grid, cfg):
+    def test_zero_iterations_returns_previous(self, pretrained, pretrained_level,
+                                              f_initial, grid, cfg):
         net = pretrained[0]
         prev = LevelSetEstimate(net, 0.05)
         hyper = replace(cfg.roa_hyper(1), growth_iters=0)
-        est, records = estimate_roa(prev, f_initial, f_initial, hyper, grid,
-                                    np.random.default_rng(0))
+        est, v, records = estimate_roa(prev, pretrained_level[0], f_initial,
+                                       f_initial, hyper, grid,
+                                       np.random.default_rng(0))
         assert records == []
         assert est.c == prev.c
+        assert v is pretrained_level[0]
         assert np.array_equal(est.net.flat_params(), net.flat_params())
 
-    def test_short_run_is_sound_and_logged(self, pretrained, f_initial, grid, cfg):
-        net = pretrained[0]
-        c0 = line_search_level(net, f_initial, grid)
-        prev = LevelSetEstimate(net, c0)
+    def test_short_run_is_sound_and_logged(self, pretrained, pretrained_level,
+                                           f_initial, grid, cfg):
+        v0, c0 = pretrained_level
+        prev = LevelSetEstimate(pretrained[0], c0)
         hyper = replace(cfg.roa_hyper(1), growth_iters=5, sgd_steps=500)
-        est, records = estimate_roa(prev, f_initial, f_initial, hyper, grid,
-                                    np.random.default_rng(1))
+        est, v, records = estimate_roa(prev, v0, f_initial, f_initial, hyper,
+                                       grid, np.random.default_rng(1))
         assert len(records) == 5
         centers = grid.centers()
-        v = est.net.value(centers)
+        assert np.array_equal(v, est.net.value(centers))
         dv = est.net.value(f_initial(centers)) - v
         inside = v < est.c
         inside[grid.origin_index()] = False
         assert np.all(dv[inside] < 0)
 
-    def test_deterministic_under_seed(self, pretrained, f_initial, grid, cfg):
-        net = pretrained[0]
-        prev = LevelSetEstimate(net, 0.05)
+    def test_deterministic_under_seed(self, pretrained, pretrained_level,
+                                      f_initial, grid, cfg):
+        prev = LevelSetEstimate(pretrained[0], 0.05)
         hyper = replace(cfg.roa_hyper(1), growth_iters=3, sgd_steps=300)
         outs = []
         for _ in range(2):
-            est, recs = estimate_roa(prev, f_initial, f_initial, hyper, grid,
-                                     np.random.default_rng(3))
+            est, _, recs = estimate_roa(prev, pretrained_level[0], f_initial,
+                                        f_initial, hyper, grid,
+                                        np.random.default_rng(3))
             outs.append((est.net.flat_params(), est.c,
                          [r.est_fraction for r in recs]))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1]
         assert outs[0][2] == outs[1][2]
+
+    def test_two_grid_evaluations_per_iteration(self, pretrained, pretrained_level,
+                                                f_initial, grid, cfg, monkeypatch):
+        # one at the cell centres, one at their images under the policy
+        rows = []
+        forward = lyapunov.PDLyapunovNet.forward
+        monkeypatch.setattr(lyapunov.PDLyapunovNet, "forward",
+                            lambda net, x: rows.append(len(x)) or forward(net, x))
+        prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
+        hyper = replace(cfg.roa_hyper(1), growth_iters=3, sgd_steps=30)
+        estimate_roa(prev, pretrained_level[0], f_initial, f_initial, hyper,
+                     grid, np.random.default_rng(2))
+        assert rows.count(grid.n_cells) == 2 * hyper.growth_iters
