@@ -2,8 +2,8 @@
 controller's region of attraction, then update the controller to grow it."""
 
 from .config import RedesignConfig, parse_config, dump_config
-from .dynamics import (PendulumParams, LinearModel, Trajectory, closed_loop,
-                       dare_lqr, linearize, pendulum_deriv, rollout, step_euler)
+from .dynamics import (PendulumParams, LinearModel, closed_loop, dare_lqr,
+                       linearize, pendulum_deriv, step_euler)
 from .grid import GridDomain
 from .lyapunov import PDLyapunovNet, load_net, pretrain_quadratic, save_net
 from .oracle import RoaMask, gap_growth_check, sym_diff_measure, true_roa

@@ -16,7 +16,6 @@ from .policy import policy_eval
 
 __all__ = [
     "PendulumParams",
-    "Trajectory",
     "LinearModel",
     "ClosedLoopMap",
     "RiccatiConvergenceError",
@@ -24,7 +23,6 @@ __all__ = [
     "step_euler",
     "step_jacobians",
     "closed_loop",
-    "rollout",
     "rollout_batch",
     "out_of_box",
     "linearize",
@@ -47,27 +45,6 @@ class PendulumParams:
             raise ValueError("length, inertia and dt must be positive")
         if self.friction < 0:
             raise ValueError("friction must be non-negative")
-
-
-@dataclass
-class Trajectory:
-    """A rollout: ``states`` has one more entry than ``controls``.
-
-    If the rollout left the safety box, ``diverged`` is set and the arrays are
-    truncated at the last in-box state.
-    """
-
-    states: np.ndarray                 # (L+1, 2)
-    controls: np.ndarray               # (L,), empty when the map hides its control
-    diverged: bool = False
-
-    @property
-    def length(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 @dataclass(frozen=True)
@@ -167,38 +144,6 @@ def out_of_box(states: np.ndarray, box) -> np.ndarray:
     (tlo, thi), (wlo, whi) = box
     return (states[..., 0] < tlo) | (states[..., 0] > thi) \
         | (states[..., 1] < wlo) | (states[..., 1] > whi)
-
-
-def rollout(f, x0, steps: int, box=None) -> Trajectory:
-    """Iterate a discrete map from ``x0`` for ``steps`` steps.
-
-    ``box`` is an optional safety rectangle ``((tlo, thi), (wlo, whi))``; when
-    a step would leave it the trajectory is truncated at the last in-box state
-    and flagged as diverged.  Controls are recorded when ``f`` is a
-    ClosedLoopMap, otherwise the controls array is left empty.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    x = np.asarray(x0, dtype=float)
-    has_control = isinstance(f, ClosedLoopMap)
-    states = [x]
-    controls = []
-    diverged = False
-    for _ in range(steps):
-        if has_control:
-            u = float(f.control(x))
-            xn = step_euler(x, u, f.params)
-        else:
-            u = None
-            xn = np.asarray(f(x), dtype=float)
-        if box is not None and bool(out_of_box(xn, box)):
-            diverged = True
-            break
-        states.append(xn)
-        if u is not None:
-            controls.append(u)
-        x = xn
-    return Trajectory(np.array(states), np.array(controls), diverged)
 
 
 def rollout_batch(f, x0s: np.ndarray, steps: int, box=None):

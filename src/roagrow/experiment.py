@@ -293,10 +293,10 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
                      phase, est.c, est_fraction, mask.fraction,
                      policy.psi.a, policy.psi.b, policy.psi.m_a, policy.psi.m_b)
 
-        if cfg.phases > 0:
-            if abs(level_history[-1] - 1.0) >= abs(level_history[0] - 1.0):
-                log.warning("level values did not move toward 1: first %.4f last %.4f",
-                            level_history[0], level_history[-1])
+        if cfg.phases > 1 and (abs(level_history[-1] - 1.0)
+                               >= abs(level_history[0] - 1.0)):
+            log.warning("level values did not move toward 1: first %.4f last %.4f",
+                        level_history[0], level_history[-1])
         write_report(out)
         note_time("total", t_run)
     finally:

@@ -3,8 +3,10 @@
 Every grid cell is integrated forward under the closed-loop map; a cell
 counts as attracted when its trajectory enters a small ball around the origin
 within the step budget and then stays inside twice that radius for a
-confirmation window.  The work is embarrassingly parallel over cells and the
-result does not depend on evaluation order.
+confirmation window.  The work is embarrassingly parallel over cells: the map
+must be row-wise (each output row depends only on its input row), and the
+oracle passes it compacted batches of the cells still running, in ascending
+cell order.
 """
 
 from __future__ import annotations
@@ -62,44 +64,45 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     origin within ``k_max`` steps and stays within ``2 * ball_radius`` for the
     following ``confirm_steps`` steps.  Trajectories leaving the safety box
     are classified as not attracted.
+
+    ``f`` maps an ``(m, 2)`` batch of states to the next states and must be
+    row-wise: each output row depends only on its input row.  Each step passes
+    it only the rows of cells still running, in ascending cell order; a cell
+    retires on the step it converges or fails.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if box is None:
         box = grid.safety_box()
 
-    x = grid.centers().copy()
-    n = len(x)
-    converged = np.zeros(n, dtype=bool)
-    failed = np.zeros(n, dtype=bool)
-    confirm = np.full(n, -1, dtype=int)        # >=0 once inside the ball
-    confirm[np.hypot(x[:, 0], x[:, 1]) < ball_radius] = 0
-    active = np.arange(n)
+    # only the rows still running are kept, in ascending cell order: the
+    # state, the confirmation counter (>= 0 once inside the ball) and the cell
+    x = grid.centers()
+    converged = np.zeros(len(x), dtype=bool)
+    confirm = np.where(np.hypot(x[:, 0], x[:, 1]) < ball_radius, 0, -1)
+    idx = np.arange(len(x))
 
     for k in range(k_max + confirm_steps):
-        if len(active) == 0:
+        if len(idx) == 0:
             break
-        xa = f(x[active])
-        out = out_of_box(xa, box)
-        x[active[~out]] = xa[~out]
-        failed[active[out]] = True
-
-        live = active[~out]
-        nrm = np.hypot(x[live, 0], x[live, 1])
+        x = f(x)
+        nrm = np.hypot(x[:, 0], x[:, 1])
         # confirmation first: rows that entered on an earlier step must stay
         # within twice the ball radius for confirm_steps further steps
-        confirming = confirm[live] >= 0
-        escaped = confirming & (nrm >= 2 * ball_radius)
-        failed[live[escaped]] = True
-        ok = confirming & ~escaped
-        confirm[live[ok]] += 1
-        converged[live[ok]] |= confirm[live[ok]] >= confirm_steps
-        entering = (confirm[live] < 0) & (nrm < ball_radius) & (k + 1 <= k_max)
-        confirm[live[entering]] = 0
-        if k + 1 > k_max:
+        confirming = confirm >= 0
+        failed = out_of_box(x, box) | (confirming & (nrm >= 2 * ball_radius))
+        confirm = confirm + confirming
+        conv = confirming & ~failed & (confirm >= confirm_steps)
+        if k < k_max:
+            confirm[~confirming & (nrm < ball_radius)] = 0
+        else:
             # past the budget only confirmation may continue
-            failed[live[confirm[live] < 0]] = True
-        active = np.flatnonzero(~converged & ~failed)
+            failed |= ~confirming
+        done = failed | conv
+        if done.any():
+            converged[idx[conv]] = True
+            keep = ~done
+            x, confirm, idx = x.compress(keep, axis=0), confirm[keep], idx[keep]
 
     return RoaMask(converged, grid.n_theta, grid.n_omega)
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,17 @@ class TestRunRedesign:
         assert (tmp_path / "heatmaps" / "pretrain_v.pgm").exists()
         assert res.metrics.select("policy") == []
         assert len(res.metrics.select("init")) == 1
+
+    def test_one_phase_run_does_not_warn_about_levels(self, tmp_path, caplog):
+        # one phase has a single level value, so there is no trend to judge
+        from roagrow.experiment import run_redesign
+
+        cfg = RedesignConfig(grid_cells=10, pretrain_steps=50, pretrain_batch=32,
+                             roa_sgd_steps=20, growth_iters=2, policy_sgd_steps=3,
+                             oracle_kmax=200, phases=1, seed=1)
+        with caplog.at_level(logging.WARNING, logger="roagrow.experiment"):
+            run_redesign(cfg, out_dir=tmp_path)
+        assert not [r for r in caplog.records if "did not move toward 1" in r.getMessage()]
 
     def test_cli_run_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"

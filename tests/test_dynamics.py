@@ -1,9 +1,53 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from roagrow.dynamics import (LinearModel, PendulumParams, RiccatiConvergenceError,
-                              dare_lqr, linearize, pendulum_deriv, riccati_step,
-                              rollout, rollout_batch, step_euler, step_jacobians)
+from roagrow.dynamics import (ClosedLoopMap, LinearModel, PendulumParams,
+                              RiccatiConvergenceError, dare_lqr, linearize,
+                              out_of_box, pendulum_deriv, riccati_step,
+                              rollout_batch, step_euler, step_jacobians)
+
+
+@dataclass
+class Trajectory:
+    """A single-state rollout: ``states`` has one more entry than
+    ``controls``; after leaving the box it is cut at the last in-box state."""
+
+    states: np.ndarray                 # (L+1, 2)
+    controls: np.ndarray               # (L,), empty when the map hides its control
+    diverged: bool = False
+
+    @property
+    def length(self) -> int:
+        return len(self.states) - 1
+
+    @property
+    def final(self) -> np.ndarray:
+        return self.states[-1]
+
+
+def rollout(f, x0, steps, box=None) -> Trajectory:
+    """Iterate ``f`` from one state, step by step: the reference that
+    ``rollout_batch`` is checked against.  Controls are recorded when ``f``
+    is a ClosedLoopMap."""
+    x = np.asarray(x0, dtype=float)
+    has_control = isinstance(f, ClosedLoopMap)
+    states, controls, diverged = [x], [], False
+    for _ in range(steps):
+        if has_control:
+            u = float(f.control(x))
+            xn = step_euler(x, u, f.params)
+        else:
+            xn = np.asarray(f(x), dtype=float)
+        if box is not None and bool(out_of_box(xn, box)):
+            diverged = True
+            break
+        states.append(xn)
+        if has_control:
+            controls.append(u)
+        x = xn
+    return Trajectory(np.array(states), np.array(controls), diverged)
 
 
 def rk4_step(s, u, p):

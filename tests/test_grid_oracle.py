@@ -42,6 +42,71 @@ class TestGridDomain:
         assert whi == pytest.approx(10 * 2 * np.pi)
 
 
+SMALL_GRID = GridDomain(n_theta=12, n_omega=12)
+
+
+def _bounce(x):
+    # cells with norm in (1, 2) jump by 20x, some out of the box; anything
+    # beyond norm 2 drops near the origin, so only the box test fails them
+    n = np.hypot(x[:, 0], x[:, 1])[:, None]
+    return np.where(n > 2, x / 100, np.where(n > 1, 20 * x, 0.5 * x))
+
+
+def _kick(x):
+    # inside the ball a state with theta > 0 is pushed out 3x, beyond twice
+    # the radius: those cells escape during confirmation, the others converge
+    n = np.hypot(x[:, 0], x[:, 1])[:, None]
+    kick = np.where(x[:, :1] > 0, 3.0, 1.0)
+    return np.where(n < 0.1, kick * x, 0.5 * x)
+
+
+# name -> (f, k_max, ball_radius, confirm_steps); f None is the initial
+# closed-loop pendulum
+ORACLE_CASES = {
+    "contraction": (lambda x: 0.9 * x, 30, 0.1, 5),
+    "expansion_leaves_box": (lambda x: 1.3 * x, 40, 0.1, 5),
+    "box_before_return": (_bounce, 12, 0.1, 3),
+    "halve": (lambda x: 0.5 * x, 5, 0.1, 4),
+    "escape_in_confirmation": (_kick, 20, 0.1, 10),
+    "no_confirmation": (lambda x: 0.8 * x, 15, 0.1, 0),
+    "starts_inside": (lambda x: 1.2 * x, 10, 0.6, 3),
+    "initial_pendulum": (None, 300, 0.1, 20),
+}
+
+
+def reference_roa(f, grid, k_max, ball_radius, confirm_steps, box):
+    """The documented rule, transcribed one cell and one state at a time.
+
+    A step that leaves the box fails the cell.  Entering the ball counts
+    only while ``k + 1 <= k_max``; from then on (or from the start, for a
+    cell that starts inside) the state must stay within ``2 * ball_radius``
+    for ``confirm_steps`` steps.
+    """
+    (tlo, thi), (wlo, whi) = box
+    attracted = []
+    for x in grid.centers():
+        confirmed = 0 if np.hypot(x[0], x[1]) < ball_radius else None
+        verdict = False
+        for k in range(k_max + confirm_steps):
+            x = f(x[None, :])[0]
+            if x[0] < tlo or x[0] > thi or x[1] < wlo or x[1] > whi:
+                break
+            r = np.hypot(x[0], x[1])
+            if confirmed is not None:
+                if r >= 2 * ball_radius:
+                    break
+                confirmed += 1
+                if confirmed >= confirm_steps:
+                    verdict = True
+                    break
+            elif r < ball_radius and k + 1 <= k_max:
+                confirmed = 0
+            elif k + 1 > k_max:
+                break
+        attracted.append(verdict)
+    return np.array(attracted)
+
+
 class TestTrueRoa:
     def test_global_contraction_is_full(self, grid):
         mask = true_roa(lambda x: 0.5 * x, grid, k_max=200)
@@ -70,6 +135,29 @@ class TestTrueRoa:
         base = true_roa(f_initial, grid, k_max=cfg.oracle_kmax)
         more = true_roa(f_initial, grid, k_max=cfg.oracle_kmax + 2000)
         assert abs(base.fraction - more.fraction) < 0.01
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_per_cell_rule(self, case, f_initial):
+        f, k_max, ball_radius, confirm_steps = ORACLE_CASES[case]
+        f = f or f_initial
+        box = SMALL_GRID.safety_box()
+        expect = reference_roa(f, SMALL_GRID, k_max, ball_radius, confirm_steps, box)
+        got = true_roa(f, SMALL_GRID, k_max=k_max, ball_radius=ball_radius,
+                       confirm_steps=confirm_steps)
+        assert np.array_equal(got.values, expect)
+
+    def test_budget_edge(self):
+        # under x -> x / 2 every cell of the small grid enters the 0.1-ball on
+        # some step from 3 to 7; entering on step k_max counts, a step later not
+        halve = ORACLE_CASES["halve"][0]
+        x = SMALL_GRID.centers()
+        enters = np.zeros(len(x), dtype=int)
+        for step in range(1, 10):
+            x = halve(x)
+            enters[(enters == 0) & (np.hypot(x[:, 0], x[:, 1]) < 0.1)] = step
+        mask = true_roa(halve, SMALL_GRID, k_max=5, ball_radius=0.1, confirm_steps=4)
+        assert (enters == 5).any() and (enters == 6).any()
+        assert np.array_equal(mask.values, enters <= 5)
 
 
 class TestMeasures:
