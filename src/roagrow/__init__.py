@@ -6,12 +6,11 @@ from .dynamics import (PendulumParams, LinearModel, closed_loop, dare_lqr,
                        linearize, pendulum_deriv, step_euler)
 from .grid import GridDomain
 from .lyapunov import PDLyapunovNet, load_net, pretrain_quadratic, save_net
-from .oracle import RoaMask, gap_growth_check, sym_diff_measure, true_roa
+from .oracle import RoaMask, true_roa
 from .policy import SatParams, SatPolicy, crop_update, policy_eval, policy_grad_psi, sat
 from .roa_estimator import (LevelSetEstimate, RoaEstHyper, estimate_roa,
-                            label_batch, line_search_level, roa_loss, sample_mixture)
-from .policy_updater import (PolicyUpdHyper, SignalDiagnostics, bptt_grad,
-                             policy_loss, sample_policy_batch, signal_diagnostics,
-                             update_policy)
+                            label_batch, line_search_level, sample_mixture)
+from .policy_updater import (PolicyUpdHyper, SignalDiagnostics,
+                             sample_policy_batch, update_policy)
 
 __version__ = "0.1.0"

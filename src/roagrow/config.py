@@ -96,6 +96,10 @@ class RedesignConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config key '{f.name}' must be finite")
         checks = [
             (self.dt > 0, "dt", "must be positive"),
             (self.length > 0, "length", "must be positive"),
@@ -141,6 +145,10 @@ class RedesignConfig:
             (self.oracle_confirm_steps >= 0, "oracle_confirm_steps", "must be >= 0"),
             (self.safety_box_factor >= 1, "safety_box_factor", "must be >= 1"),
             (self.seed >= 0, "seed", "must be >= 0"),
+            # the text format strips values and cuts them at '#' and line ends
+            ("#" not in self.out_dir
+             and self.out_dir.splitlines() == [self.out_dir] == [self.out_dir.strip()],
+             "out_dir", "must be one non-empty line without '#' or outer whitespace"),
         ]
         for ok, key, why in checks:
             if not ok:

@@ -140,13 +140,14 @@ def closed_loop(policy, params: PendulumParams) -> ClosedLoopMap:
 
 
 def out_of_box(states: np.ndarray, box) -> np.ndarray:
-    """Rows of ``states`` outside the rectangle ``((tlo, thi), (wlo, whi))``."""
+    """Rows of ``states`` outside the rectangle ``((tlo, thi), (wlo, whi))``;
+    the in-box test is negated, so a row with a NaN counts as out."""
     (tlo, thi), (wlo, whi) = box
-    return (states[..., 0] < tlo) | (states[..., 0] > thi) \
-        | (states[..., 1] < wlo) | (states[..., 1] > whi)
+    th, om = states[..., 0], states[..., 1]
+    return ~((tlo <= th) & (th <= thi) & (wlo <= om) & (om <= whi))
 
 
-def rollout_batch(f, x0s: np.ndarray, steps: int, box=None):
+def rollout_batch(f, x0s: np.ndarray, steps: int, box):
     """Advance a batch of states ``steps`` times, freezing diverged rows.
 
     Returns ``(finals, diverged)`` where ``finals[i]`` is the last in-box
@@ -159,13 +160,10 @@ def rollout_batch(f, x0s: np.ndarray, steps: int, box=None):
         if not alive.any():
             break
         xn = np.asarray(f(x[alive]), dtype=float)
-        if box is not None:
-            out = out_of_box(xn, box)
-            idx = np.flatnonzero(alive)
-            diverged[idx[out]] = True
-            x[idx[~out]] = xn[~out]
-        else:
-            x[alive] = xn
+        out = out_of_box(xn, box)
+        idx = np.flatnonzero(alive)
+        diverged[idx[out]] = True
+        x[idx[~out]] = xn[~out]
     return x, diverged
 
 

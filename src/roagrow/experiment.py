@@ -65,13 +65,12 @@ def _fmt(value) -> str:
 class MetricsLog:
     """Append-only CSV writer that also keeps rows in memory."""
 
-    def __init__(self, path=None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path):
+        self.path = Path(path)
         self.rows = []
-        if self.path is not None:
-            with open(self.path, "w", encoding="ascii") as fh:
-                fh.write(f"# roagrow-metrics v{METRICS_VERSION}\n")
-                fh.write(",".join(METRICS_COLUMNS) + "\n")
+        with open(self.path, "w", encoding="ascii") as fh:
+            fh.write(f"# roagrow-metrics v{METRICS_VERSION}\n")
+            fh.write(",".join(METRICS_COLUMNS) + "\n")
 
     def add(self, **values):
         unknown = set(values) - set(METRICS_COLUMNS)
@@ -79,9 +78,8 @@ class MetricsLog:
             raise ValueError(f"unknown metrics columns: {sorted(unknown)}")
         row = {col: values.get(col) for col in METRICS_COLUMNS}
         self.rows.append(row)
-        if self.path is not None:
-            with open(self.path, "a", encoding="ascii") as fh:
-                fh.write(",".join(_fmt(row[col]) for col in METRICS_COLUMNS) + "\n")
+        with open(self.path, "a", encoding="ascii") as fh:
+            fh.write(",".join(_fmt(row[col]) for col in METRICS_COLUMNS) + "\n")
 
     def select(self, kind: str):
         return [r for r in self.rows if r["kind"] == kind]

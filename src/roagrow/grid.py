@@ -42,10 +42,6 @@ class GridDomain:
     def cell_width_omega(self) -> float:
         return (self.omega_max - self.omega_min) / self.n_omega
 
-    @property
-    def cell_area(self) -> float:
-        return self.cell_width_theta * self.cell_width_omega
-
     def centers(self) -> np.ndarray:
         """All cell centers, shape (n_cells, 2), theta fastest."""
         th = self.theta_min + (np.arange(self.n_theta) + 0.5) * self.cell_width_theta
@@ -63,15 +59,6 @@ class GridDomain:
         """Index of the cell whose center is nearest the origin."""
         c = self.centers()
         return int(np.argmin(c[:, 0] ** 2 + c[:, 1] ** 2))
-
-    def cell_index(self, points: np.ndarray) -> np.ndarray:
-        """Flat cell index of each point (clipped to the domain edges)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        i = np.floor((points[:, 0] - self.theta_min) / self.cell_width_theta)
-        j = np.floor((points[:, 1] - self.omega_min) / self.cell_width_omega)
-        i = np.clip(i.astype(int), 0, self.n_theta - 1)
-        j = np.clip(j.astype(int), 0, self.n_omega - 1)
-        return j * self.n_theta + i
 
     def jitter_within(self, cell_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Uniform points inside the given cells."""

@@ -222,10 +222,6 @@ class PDLyapunovNet:
         if pos != len(vec):
             raise ValueError("parameter vector length mismatch")
 
-    def flatten_grads(self, d_params: list) -> np.ndarray:
-        return np.concatenate([np.concatenate([dg1.ravel(), dg2.ravel()])
-                               for dg1, dg2 in d_params])
-
     def sgd_step(self, d_params: list, lr: float):
         """In-place plain SGD update; the caller owns the single-writer lock."""
         for layer, (d_g1, d_g2) in zip(self.layers, d_params):

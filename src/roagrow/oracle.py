@@ -1,4 +1,4 @@
-"""Ground truth: brute-force RoA classification and measure utilities.
+"""Ground truth: brute-force RoA classification and mask serialization.
 
 Every grid cell is integrated forward under the closed-loop map; a cell
 counts as attracted when its trajectory enters a small ball around the origin
@@ -17,13 +17,10 @@ import numpy as np
 
 from .dynamics import out_of_box
 from .grid import GridDomain
-from .roa_estimator import gap_ring
 
 __all__ = [
     "RoaMask",
     "true_roa",
-    "sym_diff_measure",
-    "gap_growth_check",
     "save_mask_pgm",
     "load_mask_pgm",
     "save_mask_csv",
@@ -105,40 +102,6 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
             x, confirm, idx = x.compress(keep, axis=0), confirm[keep], idx[keep]
 
     return RoaMask(converged, grid.n_theta, grid.n_omega)
-
-
-def sym_diff_measure(a: RoaMask, b: RoaMask) -> float:
-    """Fraction of cells on which the two masks disagree."""
-    if (a.n_theta, a.n_omega) != (b.n_theta, b.n_omega):
-        raise ValueError("masks live on different grids")
-    return float(np.logical_xor(a.values, b.values).sum()) / a.values.size
-
-
-def gap_growth_check(c: float, alphas, grid: GridDomain) -> dict:
-    """Desk-scale check of the sublevel-growth prediction for V = ||x||^2.
-
-    The sublevel set of ||x||^2 at level c is a disk of radius sqrt(c), whose
-    gradient-norm lower bound on the level set is G = 2 sqrt(c) and whose
-    perimeter is 2 pi sqrt(c), so the predicted gap measure for a factor
-    alpha is c (alpha - 1) * perimeter / G = pi c (alpha - 1).  Returns
-    {alpha: (grid_measure, predicted, relative_error)}.
-    """
-    centers = grid.centers()
-    v = centers[:, 0] ** 2 + centers[:, 1] ** 2
-    half_t = 0.5 * (grid.theta_max - grid.theta_min)
-    half_w = 0.5 * (grid.omega_max - grid.omega_min)
-    out = {}
-    for alpha in alphas:
-        if not 1.0 <= alpha <= 1.1:
-            raise ValueError("alpha must lie in [1, 1.1]; the prediction is "
-                             "a first-order expansion around the level set")
-        if np.sqrt(alpha * c) >= min(half_t, half_w):
-            raise ValueError("level set touches the grid boundary")
-        counted = float(gap_ring(v, c, alpha).sum()) * grid.cell_area
-        predicted = np.pi * c * (alpha - 1.0)
-        rel = abs(counted - predicted) / predicted if predicted > 0 else 0.0
-        out[alpha] = (counted, predicted, rel)
-    return out
 
 
 # -- mask serialization ------------------------------------------------------

@@ -26,9 +26,7 @@ __all__ = [
     "SignalDiagnostics",
     "PolicyUpdateRecord",
     "sample_policy_batch",
-    "policy_loss",
-    "bptt_grad",
-    "signal_diagnostics",
+    "bptt",
     "update_policy",
 ]
 
@@ -118,12 +116,10 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
         du_dpsi = policy_grad_psi(x, pol)
         xn = clm(x)
         out = out_of_box(xn, box)
-        newly_dead = alive & out
-        frozen = ~alive | newly_dead
+        frozen = ~alive | out
         jac[frozen] = eye
         du_dpsi[frozen] = 0.0
-        moved = ~frozen
-        x[moved] = xn[moved]
+        x[~frozen] = xn[~frozen]
         alive &= ~out
         jacs[k] = jac
         psi_push[k] = du_dpsi
@@ -131,9 +127,18 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
     return x, ~alive, jacs, psi_push, dfdu_dot
 
 
-def _bptt(clm, est: LevelSetEstimate, x0s: np.ndarray, steps: int,
-          lambda_u: float, box):
-    """Loss, psi-gradient and the gradient tape in one pass."""
+def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
+    """One pass over a rollout batch: ``(loss, grad, g_final, jacs)``.
+
+    ``loss`` = sum over the batch of [1 if V(x_T) < c else lambda_u] * V(x_T),
+    x_T the rollout endpoint under ``clm``; the indicator weights are
+    constants of the frozen estimate, and a rollout flagged as diverged
+    contributes lambda_u * V at its last in-box state.  ``grad`` is its exact
+    reverse-accumulated gradient over trainable psi, (dL/dx_T)(dx_T/dx_k)
+    (d+ x_k/dpsi) summed over k, zero outside the trainable mask.  ``g_final``
+    (dL/dx_T per sample) and the step Jacobians ``jacs`` feed
+    :func:`_diagnostics`.
+    """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float)).reshape(-1, 2)
     finals, diverged, jacs, psi_push, dfdu_dot = _rollout_tape(
         clm, x0s, steps, box)
@@ -157,43 +162,12 @@ def _bptt(clm, est: LevelSetEstimate, x0s: np.ndarray, steps: int,
     return loss, grad, g_final, jacs
 
 
-def policy_loss(clm, est: LevelSetEstimate, x0s, steps: int,
-                lambda_u: float, box) -> float:
-    """sum over the batch of [1 if V(x_T) < c else lambda_u] * V(x_T).
-
-    x_T is the rollout endpoint under the closed-loop map ``clm``; the
-    indicator weights are constants of the frozen estimate.  Divergence
-    flagged rollouts contribute lambda_u * V at the last in-box state.
-    """
-    loss, _, _, _ = _bptt(clm, est, x0s, steps, lambda_u, box)
-    return loss
-
-
-def bptt_grad(clm, est: LevelSetEstimate, x0s, steps: int,
-              lambda_u: float, box) -> np.ndarray:
-    """Exact reverse-accumulated gradient of the loss over trainable psi.
-
-    Equals dL/dx_T summed against the per-step products
-    (dx_T/dx_k)(d+ x_k/dpsi); entries outside the trainable mask are zero.
-    """
-    _, grad, _, _ = _bptt(clm, est, x0s, steps, lambda_u, box)
-    return grad
-
-
-def signal_diagnostics(clm, est: LevelSetEstimate, x0s, steps: int,
-                       lambda_u: float, box) -> SignalDiagnostics:
-    """Report the strength of each factor of the learning signal.
-
-    Warns when the final-state factor is negligible, which happens when the
-    rollouts end too close to the equilibrium (the Lyapunov gradient vanishes
-    there) and the policy stops receiving information.
-    """
-    _, grad, g_final, jacs = _bptt(clm, est, x0s, steps, lambda_u, box)
-    return _diagnostics(grad, g_final, jacs)
-
-
 def _diagnostics(grad, g_final, jacs) -> SignalDiagnostics:
-    """:class:`SignalDiagnostics` from the results of one :func:`_bptt`."""
+    """:class:`SignalDiagnostics` from the results of one :func:`bptt`.
+
+    Warns when the final-state factor is negligible: rollouts that end too
+    close to the equilibrium, where the Lyapunov gradient vanishes, give the
+    policy no information."""
     n_steps = len(jacs)
     norms = np.empty(n_steps + 1)
     norms[n_steps] = 1.0
@@ -225,12 +199,12 @@ def update_policy(pol: SatPolicy, est: LevelSetEstimate, v_grid: np.ndarray,
     start_psi = pol.psi
     for _ in range(hyper.sgd_steps):
         clm = f_builder(pol)
-        _, grad, _, _ = _bptt(clm, est, x0s, hyper.rollout_steps,
-                              hyper.lambda_u, box)
+        _, grad, _, _ = bptt(clm, est, x0s, hyper.rollout_steps,
+                             hyper.lambda_u, box)
         vec = project_psi(pol.psi.as_array() - hyper.lr * grad)
         pol = replace(pol, psi=pol.psi.with_array(vec))
     pol = replace(pol, psi=crop_update(start_psi, pol.psi, pol.crop_radius))
-    loss, grad, g_final, jacs = _bptt(f_builder(pol), est, x0s,
-                                      hyper.rollout_steps, hyper.lambda_u, box)
+    loss, grad, g_final, jacs = bptt(f_builder(pol), est, x0s,
+                                     hyper.rollout_steps, hyper.lambda_u, box)
     return pol, PolicyUpdateRecord(loss, _diagnostics(grad, g_final, jacs),
                                    gap_empty)

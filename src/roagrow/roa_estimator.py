@@ -28,7 +28,6 @@ __all__ = [
     "draw_mixture",
     "sample_mixture",
     "label_batch",
-    "roa_loss",
     "line_search_level",
     "estimate_roa",
 ]
@@ -150,38 +149,18 @@ def label_batch(x0s: np.ndarray, f_pi, est: LevelSetEstimate,
     return LabeledBatch(x_in=x0s[inside], x_out=x0s[~inside])
 
 
-def _loss(v: np.ndarray, n_in: int, n_out: int, prev_vals, hyper) -> float:
-    """The loss from V on the rows [x_in; x_out; f_pi(x_in)]."""
-    v_in, v_out, v_next = v[:n_in], v[n_in:n_in + n_out], v[n_in + n_out:]
-    return float(np.sum(v_in - C_BAR) - np.sum(v_out - C_BAR)
-                 + hyper.lambda_roa * np.sum(v_next - v_in)
-                 + hyper.lambda_monot * np.sum((v_in - prev_vals) ** 2))
-
-
-def roa_loss(net: PDLyapunovNet, x_in, x_out, f_pi,
-             prev: LevelSetEstimate, prev_f, hyper: RoaEstHyper) -> float:
-    """The four-term training objective.
+def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
+    """The four-term training objective and its gradient w.r.t. the net's free
+    blocks, from one forward and one reverse pass over [x_in; x_out; xin_next]:
 
     classifier terms: sum_in (V - c_bar) - sum_out (V - c_bar)
     decrease term:    lambda_roa * sum_in (V(f_pi(x)) - V(x))
-    monotonicity:     lambda_monot * sum_in (V(x) - V_prev(f_prev(x)))^2
+    monotonicity:     lambda_monot * sum_in (V(x) - prev_vals)^2
 
-    ``prev`` and ``prev_f`` are frozen; no gradient reaches them.
-    """
-    x_in = np.atleast_2d(np.asarray(x_in, dtype=float)).reshape(-1, 2)
-    x_out = np.atleast_2d(np.asarray(x_out, dtype=float)).reshape(-1, 2)
-    xin_next = f_pi(x_in) if len(x_in) else x_in
-    prev_vals = prev.net.value(prev_f(x_in)) if len(x_in) else np.zeros(0)
-    v = net.value(np.concatenate([x_in, x_out, xin_next]))
-    return _loss(v, len(x_in), len(x_out), prev_vals, hyper)
-
-
-def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
-    """Loss and its gradient w.r.t. the net's free blocks (single tape pass).
-
-    The returned gradient is normalized by the batch size so the step size
-    stays comparable across the growing sample schedule; the loss itself is
-    the plain sum.
+    ``xin_next`` holds f_pi(x_in) and ``prev_vals`` the frozen target
+    V_prev(f_prev(x_in)); no gradient reaches them.  The returned gradient is
+    normalized by the batch size so the step size stays comparable across the
+    growing sample schedule; the loss itself is the plain sum.
 
     Only the classifier and decrease terms are capped at ``hyper.grad_clip``:
     they are linear in V and unbounded below, so the cap is what keeps
@@ -193,14 +172,17 @@ def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
     n_in, n_out = len(x_in), len(x_out)
     x = np.concatenate([x_in, x_out, xin_next])
     fwd = net.forward(x)
-    loss = _loss(fwd.v, n_in, n_out, prev_vals, hyper)
+    v_in, v_out, v_next = fwd.v[:n_in], fwd.v[n_in:n_in + n_out], fwd.v[n_in + n_out:]
+    loss = float(np.sum(v_in - C_BAR) - np.sum(v_out - C_BAR)
+                 + hyper.lambda_roa * np.sum(v_next - v_in)
+                 + hyper.lambda_monot * np.sum((v_in - prev_vals) ** 2))
     weights = np.concatenate([np.full(n_in, 1.0 - hyper.lambda_roa),
                               np.full(n_out, -1.0),
                               np.full(n_in, hyper.lambda_roa)])
     n_batch = max(1, n_in + n_out)
     w_monot = None
     if hyper.lambda_monot and n_in:
-        w_monot = 2.0 * hyper.lambda_monot * (fwd.v[:n_in] - prev_vals) / n_batch
+        w_monot = 2.0 * hyper.lambda_monot * (v_in - prev_vals) / n_batch
     tape = net.backward(x, weights / n_batch, extra_weights=w_monot, fwd=fwd)
     d_params = tape.d_params
     norm = np.sqrt(sum(float((g1 ** 2).sum() + (g2 ** 2).sum())

@@ -15,10 +15,11 @@ from roagrow.dynamics import (LinearModel, closed_loop, dare_lqr, linearize,
 from roagrow.experiment import run_redesign
 from roagrow.grid import GridDomain
 from roagrow.lyapunov import load_net
-from roagrow.oracle import gap_growth_check
+from roagrow.policy_updater import bptt
 from roagrow.roa_estimator import LevelSetEstimate, sample_mixture
 
 from conftest import ACCEPT_PHASES as PHASES
+from reference import cell_index, flatten_grads, gap_growth_check
 
 
 def _ok(name: str, detail: str = ""):
@@ -58,7 +59,7 @@ class TestCriterion2GradientOracles:
         net = pretrained[0].copy()
         rng = np.random.default_rng(22)
         x = rng.uniform(-1.0, 1.0, (4, 2))
-        flat = net.flatten_grads(net.backward(x, np.ones(4)).d_params)
+        flat = flatten_grads(net.backward(x, np.ones(4)).d_params)
         theta = net.flat_params()
         h = 1e-5
         for _ in range(20):
@@ -102,7 +103,6 @@ class TestCriterion2GradientOracles:
 
     def test_bptt_oracle(self, params, pretrained, grid):
         from roagrow.policy import SatParams, SatPolicy
-        from roagrow.policy_updater import bptt_grad, policy_loss
 
         net = pretrained[0]
         est = LevelSetEstimate(net, 1.0)
@@ -125,21 +125,21 @@ class TestCriterion2GradientOracles:
                 x = clm(x)
             if margin < 1e-3 or abs(net.value(x)[0] - est.c) < 1e-3:
                 continue
-            grad = bptt_grad(clm, est, x0, 10, 10.0, box)
+            grad = bptt(clm, est, x0, 10, 10.0, box)[1]
             fd = np.zeros(4)
             vec = psi.as_array()
             for i in range(4):
                 hi, lo = vec.copy(), vec.copy()
                 hi[i] += h
                 lo[i] -= h
-                up = policy_loss(closed_loop(SatPolicy(k=pol.k, psi=_params_from(hi)),
-                                             params), est, x0, 10, 10.0, box)
-                dn = policy_loss(closed_loop(SatPolicy(k=pol.k, psi=_params_from(lo)),
-                                             params), est, x0, 10, 10.0, box)
+                up = bptt(closed_loop(SatPolicy(k=pol.k, psi=_params_from(hi)),
+                                      params), est, x0, 10, 10.0, box)[0]
+                dn = bptt(closed_loop(SatPolicy(k=pol.k, psi=_params_from(lo)),
+                                      params), est, x0, 10, 10.0, box)[0]
                 fd[i] = (up - dn) / (2 * h)
             assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4
             checked += 1
-        _ok("criterion 2d: bptt_grad matches finite differences")
+        _ok("criterion 2d: the BPTT gradient matches finite differences")
 
 
 def _sat_raw(z, v):
@@ -239,7 +239,7 @@ class TestCriterion7MixtureSampling:
         pts, empty = sample_mixture(v, 1.0, 4.0, beta, 10_000, grid, rng)
         assert not empty
         gap = (v >= 1.0) & (v < 4.0)
-        measured = gap[grid.cell_index(pts)].mean()
+        measured = gap[cell_index(grid, pts)].mean()
         expected = beta + (1 - beta) * gap.mean()
         assert abs(measured - expected) < 0.02
         _ok("criterion 7: mixture sampling fractions",

@@ -1,13 +1,19 @@
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from roagrow.cli import main
 from roagrow.config import (ConfigError, RedesignConfig, dump_config,
                             parse_config, parse_config_text)
 from roagrow.experiment import (MaskOverlay, MetricsLog, emit_heatmap,
                                 read_metrics, write_report)
+
+
+def _keys_of(kind: str) -> list:
+    return [f.name for f in fields(RedesignConfig) if f.type == kind]
 
 
 class TestParseConfig:
@@ -47,6 +53,29 @@ class TestParseConfig:
         cfg = RedesignConfig(seed=9, phases=3, lambda_monot=0.0,
                              variant="slopes", out_dir="elsewhere")
         assert parse_config_text(dump_config(cfg)) == cfg
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.tuples(st.sampled_from(_keys_of("float")), st.floats()),
+        st.tuples(st.sampled_from(_keys_of("int")), st.integers(-10, 10**12)),
+        st.tuples(st.just("out_dir"), st.text())))
+    def test_round_trip_property(self, override):
+        # any config that constructs dumps to text that parses back equal
+        try:
+            cfg = RedesignConfig(**dict([override]))
+        except ConfigError:
+            assume(False)
+        assert parse_config_text(dump_config(cfg)) == cfg
+
+    def test_non_finite_float_rejected(self):
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match="gravity.*finite"):
+                parse_config_text(f"gravity = {raw}\n")
+
+    @pytest.mark.parametrize("out_dir", ["", "runs/a#1", " x ", "a\nb", "a\r"])
+    def test_out_dir_that_would_not_reparse_rejected(self, out_dir):
+        with pytest.raises(ConfigError, match="out_dir"):
+            RedesignConfig(out_dir=out_dir)
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from roagrow.dynamics import rollout_batch
 from roagrow.grid import GridDomain
-from roagrow.oracle import (RoaMask, gap_growth_check, load_mask_pgm,
-                            save_mask_csv, save_mask_pgm, sym_diff_measure, true_roa)
+from roagrow.oracle import (RoaMask, load_mask_pgm, save_mask_csv,
+                            save_mask_pgm, true_roa)
+
+from reference import gap_growth_check, sym_diff_measure
 
 
 class TestGridDomain:
@@ -77,10 +80,10 @@ ORACLE_CASES = {
 def reference_roa(f, grid, k_max, ball_radius, confirm_steps, box):
     """The documented rule, transcribed one cell and one state at a time.
 
-    A step that leaves the box fails the cell.  Entering the ball counts
-    only while ``k + 1 <= k_max``; from then on (or from the start, for a
-    cell that starts inside) the state must stay within ``2 * ball_radius``
-    for ``confirm_steps`` steps.
+    A step that leaves the box, or reaches a NaN, fails the cell.  Entering
+    the ball counts only while ``k + 1 <= k_max``; from then on (or from the
+    start, for a cell that starts inside) the state must stay within
+    ``2 * ball_radius`` for ``confirm_steps`` steps.
     """
     (tlo, thi), (wlo, whi) = box
     attracted = []
@@ -89,7 +92,7 @@ def reference_roa(f, grid, k_max, ball_radius, confirm_steps, box):
         verdict = False
         for k in range(k_max + confirm_steps):
             x = f(x[None, :])[0]
-            if x[0] < tlo or x[0] > thi or x[1] < wlo or x[1] > whi:
+            if not (tlo <= x[0] <= thi and wlo <= x[1] <= whi):
                 break
             r = np.hypot(x[0], x[1])
             if confirmed is not None:
@@ -158,6 +161,19 @@ class TestTrueRoa:
         mask = true_roa(halve, SMALL_GRID, k_max=5, ball_radius=0.1, confirm_steps=4)
         assert (enters == 5).any() and (enters == 6).any()
         assert np.array_equal(mask.values, enters <= 5)
+
+    def test_nan_states_are_not_attracted(self):
+        # a NaN state is out of the box: the ball radius 0.6 puts 4 cells
+        # inside the ball at the start, and none of them may confirm
+        nan_map = lambda x: np.full_like(x, np.nan)
+        mask = true_roa(nan_map, SMALL_GRID, k_max=5, ball_radius=0.6,
+                        confirm_steps=3)
+        assert (np.hypot(*SMALL_GRID.centers().T) < 0.6).sum() == 4
+        assert not mask.values.any()
+        x0s = SMALL_GRID.centers()[:6]
+        finals, diverged = rollout_batch(nan_map, x0s, 3, SMALL_GRID.safety_box())
+        assert diverged.all()
+        assert np.array_equal(finals, x0s)
 
 
 class TestMeasures:

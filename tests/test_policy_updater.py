@@ -5,10 +5,11 @@ from dataclasses import replace
 import roagrow.policy_updater as policy_updater
 from roagrow.dynamics import ClosedLoopMap, closed_loop
 from roagrow.policy import SatParams, SatPolicy
-from roagrow.policy_updater import (PolicyUpdHyper, bptt_grad, policy_loss,
-                                    sample_policy_batch, signal_diagnostics,
-                                    update_policy)
+from roagrow.policy_updater import (PolicyUpdHyper, _diagnostics, bptt,
+                                    sample_policy_batch, update_policy)
 from roagrow.roa_estimator import LevelSetEstimate
+
+from reference import cell_index
 
 BIG_BOX = ((-1e9, 1e9), (-1e9, 1e9))
 
@@ -71,7 +72,7 @@ class TestSamplePolicyBatch:
         pts, empty = sample_policy_batch(v_cells, 1.0, hyper, grid,
                                          np.random.default_rng(0))
         assert not empty
-        assert np.all(v_cells[grid.cell_index(pts)] < 1.0)
+        assert np.all(v_cells[cell_index(grid, pts)] < 1.0)
 
     def test_beta_one_samples_gap(self, grid, cfg):
         v_cells = quad_grid(grid)
@@ -79,7 +80,7 @@ class TestSamplePolicyBatch:
         pts, empty = sample_policy_batch(v_cells, 1.0, hyper, grid,
                                          np.random.default_rng(1))
         assert not empty
-        idx = grid.cell_index(pts)
+        idx = cell_index(grid, pts)
         assert np.all((v_cells[idx] >= 1.0) & (v_cells[idx] < 4.0))
 
     def test_mixture_fraction(self, grid, cfg):
@@ -88,7 +89,7 @@ class TestSamplePolicyBatch:
         pts, _ = sample_policy_batch(v_cells, 1.0, hyper, grid,
                                      np.random.default_rng(2))
         gap = (v_cells >= 1.0) & (v_cells < 4.0)
-        measured = gap[grid.cell_index(pts)].mean()
+        measured = gap[cell_index(grid, pts)].mean()
         assert abs(measured - 0.6) < 0.02
 
     def test_empty_gap_flagged(self, grid, cfg):
@@ -102,19 +103,19 @@ class TestPolicyLoss:
     def test_inside_weight_one(self, f_initial):
         est = LevelSetEstimate(QuadV(), 1.0)
         x = np.array([[np.sqrt(0.5), 0.0]])
-        loss = policy_loss(f_initial, est, x, 0, 10.0, BIG_BOX)
+        loss = bptt(f_initial, est, x, 0, 10.0, BIG_BOX)[0]
         assert loss == pytest.approx(0.5)
 
     def test_outside_weight_lambda(self, f_initial):
         est = LevelSetEstimate(QuadV(), 1.0)
         x = np.array([[np.sqrt(2.0), 0.0]])
-        loss = policy_loss(f_initial, est, x, 0, 10.0, BIG_BOX)
+        loss = bptt(f_initial, est, x, 0, 10.0, BIG_BOX)[0]
         assert loss == pytest.approx(20.0)
 
     def test_batch_sums(self, f_initial):
         est = LevelSetEstimate(QuadV(), 1.0)
         xs = np.array([[np.sqrt(0.5), 0.0], [np.sqrt(2.0), 0.0]])
-        loss = policy_loss(f_initial, est, xs, 0, 10.0, BIG_BOX)
+        loss = bptt(f_initial, est, xs, 0, 10.0, BIG_BOX)[0]
         assert loss == pytest.approx(20.5)
 
     def test_divergent_rollout_uses_clipped_state(self):
@@ -133,7 +134,7 @@ class TestPolicyLoss:
         est = LevelSetEstimate(QuadV(), 1e9)   # value never exceeds the level
         box = ((-1.0, 1.0), (-1.0, 1.0))
         x = np.array([[0.6, 0.0]])
-        loss = policy_loss(Expand(), est, x, 10, 10.0, box)
+        loss = bptt(Expand(), est, x, 10, 10.0, box)[0]
         # one step hits 1.2 and leaves the box; the clipped state is 0.6
         assert loss == pytest.approx(10.0 * 0.36)
 
@@ -141,12 +142,12 @@ class TestPolicyLoss:
 class TestBpttGrad:
     def test_zero_steps_zero_gradient(self, f_initial):
         est = LevelSetEstimate(QuadV(), 1.0)
-        g = bptt_grad(f_initial, est, np.array([[0.4, 0.2]]), 0, 10.0, BIG_BOX)
+        g = bptt(f_initial, est, np.array([[0.4, 0.2]]), 0, 10.0, BIG_BOX)[1]
         assert np.all(g == 0.0)
 
     def test_origin_gives_vanishing_gradient(self, f_initial, pretrained):
         est = LevelSetEstimate(pretrained[0], 1.0)
-        g = bptt_grad(f_initial, est, np.zeros((1, 2)), 10, 10.0, BIG_BOX)
+        g = bptt(f_initial, est, np.zeros((1, 2)), 10, 10.0, BIG_BOX)[1]
         assert np.linalg.norm(g) < 1e-12
 
     def test_matches_finite_differences(self, params, pretrained, grid):
@@ -175,7 +176,7 @@ class TestBpttGrad:
                 x = clm(x)
             if margin < 1e-3 or abs(net.value(x)[0] - est.c) < 1e-3:
                 continue
-            grad = bptt_grad(clm, est, x0, 10, 10.0, box)
+            grad = bptt(clm, est, x0, 10, 10.0, box)[1]
             fd = np.zeros(4)
             vec = psi.as_array()
             for i in range(4):
@@ -184,8 +185,8 @@ class TestBpttGrad:
                 lo[i] -= h
                 pol_hi = SatPolicy(k=pol.k, psi=_raw_params(hi, psi.trainable))
                 pol_lo = SatPolicy(k=pol.k, psi=_raw_params(lo, psi.trainable))
-                up = policy_loss(closed_loop(pol_hi, params), est, x0, 10, 10.0, box)
-                dn = policy_loss(closed_loop(pol_lo, params), est, x0, 10, 10.0, box)
+                up = bptt(closed_loop(pol_hi, params), est, x0, 10, 10.0, box)[0]
+                dn = bptt(closed_loop(pol_lo, params), est, x0, 10, 10.0, box)[0]
                 fd[i] = (up - dn) / (2 * h)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(grad - fd).max() / scale < 1e-4
@@ -195,7 +196,7 @@ class TestBpttGrad:
         net = pretrained[0]
         est = LevelSetEstimate(net, 1.0)
         before = net.flat_params().copy()
-        bptt_grad(f_initial, est, np.array([[0.5, -0.4]]), 10, 10.0, BIG_BOX)
+        bptt(f_initial, est, np.array([[0.5, -0.4]]), 10, 10.0, BIG_BOX)
         assert np.array_equal(net.flat_params(), before)
 
 
@@ -210,15 +211,15 @@ class TestSignalDiagnostics:
         clm = ContractionMap()
         est = LevelSetEstimate(QuadV(), 1.0)
         x0 = np.array([[0.8, 0.0]])
-        diag = signal_diagnostics(clm, est, x0, 6, 10.0, BIG_BOX)
+        diag = _diagnostics(*bptt(clm, est, x0, 6, 10.0, BIG_BOX)[1:])
         for k in range(7):
             assert diag.per_step_jacobian_norms[k] == pytest.approx(0.5 ** (6 - k))
 
     def test_grad_norm_psi_matches_bptt(self, f_initial, pretrained):
         est = LevelSetEstimate(pretrained[0], 1.0)
         x0 = np.random.default_rng(9).uniform(-0.5, 0.5, (6, 2))
-        diag = signal_diagnostics(f_initial, est, x0, 10, 10.0, BIG_BOX)
-        g = bptt_grad(f_initial, est, x0, 10, 10.0, BIG_BOX)
+        diag = _diagnostics(*bptt(f_initial, est, x0, 10, 10.0, BIG_BOX)[1:])
+        g = bptt(f_initial, est, x0, 10, 10.0, BIG_BOX)[1]
         assert abs(diag.grad_norm_psi - np.linalg.norm(g)) < 1e-12
 
     def test_origin_warns_weak_signal(self, f_initial, pretrained, caplog):
@@ -226,8 +227,8 @@ class TestSignalDiagnostics:
 
         est = LevelSetEstimate(pretrained[0], 1.0)
         with caplog.at_level(logging.WARNING, logger="roagrow.policy_updater"):
-            diag = signal_diagnostics(f_initial, est, np.zeros((1, 2)), 10,
-                                      10.0, BIG_BOX)
+            diag = _diagnostics(*bptt(f_initial, est, np.zeros((1, 2)), 10,
+                                      10.0, BIG_BOX)[1:])
         assert diag.weak_signal
         assert diag.grad_norm_final < 1e-6
         assert any("vanishing" in r.message for r in caplog.records)
@@ -274,17 +275,17 @@ class TestUpdatePolicy:
         x0s, _ = sample_policy_batch(quad_grid(grid), est.c, hyper, grid,
                                      np.random.default_rng(4))
         passes = []
-        bptt = policy_updater._bptt
-        monkeypatch.setattr(policy_updater, "_bptt",
+        monkeypatch.setattr(policy_updater, "bptt",
                             lambda *a: passes.append(1) or bptt(*a))
         new, rec = update_policy(initial_policy, est, quad_grid(grid), fb, hyper,
                                  grid, np.random.default_rng(4))
         assert len(passes) == hyper.sgd_steps + 1
-        # the report is the one signal_diagnostics gives for the final policy
+        # the report is the one a fresh pass gives for the final policy
         args = (fb(new), est, x0s, hyper.rollout_steps, hyper.lambda_u,
                 grid.safety_box())
-        diag = signal_diagnostics(*args)
-        assert rec.loss == policy_loss(*args)
+        loss, *tape = bptt(*args)
+        diag = _diagnostics(*tape)
+        assert rec.loss == loss
         assert rec.diagnostics.grad_norm_final == diag.grad_norm_final
         assert rec.diagnostics.grad_norm_psi == diag.grad_norm_psi
         assert np.array_equal(rec.diagnostics.per_step_jacobian_norms,

@@ -5,8 +5,10 @@ from dataclasses import replace
 import roagrow.lyapunov as lyapunov
 from roagrow.roa_estimator import (DegenerateLevelError, LevelSetEstimate,
                                    RoaEstHyper, estimate_roa, label_batch,
-                                   line_search_level, roa_loss, sample_mixture,
+                                   line_search_level, sample_mixture,
                                    _roa_loss_grad)
+
+from reference import cell_index, flatten_grads, roa_loss
 
 
 class QuadV:
@@ -57,7 +59,7 @@ class TestSampleMixture:
         pts, empty = sample_mixture(v, 1.0, 4.0, 0.0, 10_000, grid, rng)
         assert not empty
         gap_cells = (v >= 1.0) & (v < 4.0)
-        frac = gap_cells[grid.cell_index(pts)].mean()
+        frac = gap_cells[cell_index(grid, pts)].mean()
         expect = gap_cells.mean()
         assert abs(frac - expect) < 0.02
 
@@ -66,7 +68,7 @@ class TestSampleMixture:
         rng = np.random.default_rng(1)
         pts, empty = sample_mixture(v_cells, 1.0, 4.0, 1.0, 2000, grid, rng)
         assert not empty
-        idx = grid.cell_index(pts)
+        idx = cell_index(grid, pts)
         assert np.all((v_cells[idx] >= 1.0) & (v_cells[idx] < 4.0))
 
     def test_mixture_fraction_matches_expectation(self, grid):
@@ -75,7 +77,7 @@ class TestSampleMixture:
         beta = 0.6
         pts, _ = sample_mixture(v, 1.0, 4.0, beta, 10_000, grid, rng)
         gap_cells = (v >= 1.0) & (v < 4.0)
-        measured = gap_cells[grid.cell_index(pts)].mean()
+        measured = gap_cells[cell_index(grid, pts)].mean()
         expect = beta + (1 - beta) * gap_cells.mean()
         assert abs(measured - expect) < 0.02
 
@@ -134,7 +136,7 @@ class TestLabelBatch:
         agree = 0
         for x in pts:
             predicted = labels.get(tuple(x), False)
-            actual = mask.values[grid.cell_index(x.reshape(1, 2))[0]]
+            actual = mask.values[cell_index(grid, x.reshape(1, 2))[0]]
             # inner-estimate labels may only under-approximate
             agree += predicted == actual or (not predicted and actual)
         assert agree >= 90
@@ -191,7 +193,7 @@ class TestRoaLoss:
         xin_next = f_initial(x_in)
         prev_vals = prev.net.value(f_initial(x_in))
         loss, d_params = _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper)
-        flat = net.flatten_grads(d_params) * (len(x_in) + len(x_out))
+        flat = flatten_grads(d_params) * (len(x_in) + len(x_out))
         theta = net.flat_params()
         h = 1e-6
 
@@ -200,6 +202,9 @@ class TestRoaLoss:
             out = roa_loss(net, x_in, x_out, f_initial, prev, f_initial, hyper)
             net.set_flat_params(theta)
             return out
+
+        # the logged loss (the metrics.csv column) is the reference formula
+        assert loss == pytest.approx(loss_at(theta), rel=1e-12, abs=1e-12)
 
         for _ in range(10):
             d = rng.normal(size=theta.shape)
@@ -222,7 +227,7 @@ class TestRoaLoss:
         def flat_grad(**kw):
             h = replace(hyper, **kw)
             _, d_params = _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, h)
-            return net.flatten_grads(d_params)
+            return flatten_grads(d_params)
 
         # the linear part alone is well above the cap, so the cap does cut
         raw_linear = flat_grad(lambda_monot=0.0, grad_clip=1e9)
@@ -231,7 +236,7 @@ class TestRoaLoss:
         assert np.linalg.norm(capped) <= hyper.grad_clip * (1 + 1e-12)
 
         n_batch = len(x_in) + len(x_out)
-        expect = net.flatten_grads(
+        expect = flatten_grads(
             net.backward(x_in, 2.0 * lam * (v_in - prev_vals) / n_batch).d_params)
         np.testing.assert_allclose(flat_grad() - capped, expect, rtol=1e-10)
 
