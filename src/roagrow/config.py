@@ -100,6 +100,9 @@ class RedesignConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"config key '{f.name}' must be finite")
+            # a float or bool would dump as text that does not parse as an int
+            if f.type == "int" and not (type(value) is int or isinstance(value, np.integer)):
+                raise ConfigError(f"config key '{f.name}' expects int, got {value!r}")
         checks = [
             (self.dt > 0, "dt", "must be positive"),
             (self.length > 0, "length", "must be positive"),

@@ -8,6 +8,10 @@ and V(x) > 0 elsewhere by construction rather than by training.
 The reverse-mode pass here is special-purpose: it differentiates exactly the
 compositions this project trains (weighted sums of V values over batches),
 returning gradients with respect to the network input and to the free blocks.
+
+V of a point is not bit-stable across batch sizes under OpenBLAS: in a batch
+of 18 rows or fewer its low bits can differ from those in a larger batch, so
+:meth:`PDLyapunovNet.value` keeps every block at ``VALUE_BLOCK`` rows or more.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
 CHECKPOINT_MAGIC = "ROAGROW-LYAPNET"
 CHECKPOINT_VERSION = 1
 MSE_CHECK_STEPS = 1000                 # pretraining checks the grid MSE this often
+VALUE_BLOCK = 1024                     # least rows per block of PDLyapunovNet.value
 
 
 class PretrainDivergence(RuntimeError):
@@ -69,8 +74,9 @@ class PDLayer:
 
 def build_weight(layer: PDLayer) -> np.ndarray:
     """Effective weight: [G1'G1 + eps*I ; G2], shape (d_out, d_in)."""
-    top = layer.g1.T @ layer.g1 + layer.eps * np.eye(layer.d_in)
-    return np.vstack([top, layer.g2])
+    top = layer.g1.T @ layer.g1
+    top.flat[::layer.d_in + 1] += layer.eps
+    return np.vstack([top, layer.g2]) if len(layer.g2) else top
 
 
 @dataclass
@@ -138,12 +144,22 @@ class PDLyapunovNet:
         ws = [build_weight(l) for l in self.layers]
         acts = [x]
         for w in ws:
-            acts.append(np.tanh(acts[-1] @ w.T))
+            z = acts[-1] @ w.T
+            acts.append(np.tanh(z, out=z))
         return Forward(ws, acts, np.einsum("ij,ij->i", acts[-1], acts[-1]))
 
     def value(self, x) -> np.ndarray:
-        """V(x) = ||v(x)||^2 for a batch (n, 2); returns (n,)."""
-        return self.forward(x).v
+        """V(x) = ||v(x)||^2 for a batch (n, 2); returns (n,).  Keeps no
+        activations: blocks of ``VALUE_BLOCK`` rows or more, or the whole batch."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        ws = [build_weight(l) for l in self.layers]
+        v = []
+        for h in np.array_split(x, max(1, len(x) // VALUE_BLOCK)):
+            for w in ws:
+                h = h @ w.T
+                np.tanh(h, out=h)
+            v.append(np.einsum("ij,ij->i", h, h))
+        return np.concatenate(v)
 
     # -- reverse mode ------------------------------------------------------
 
@@ -176,28 +192,24 @@ class PDLyapunovNet:
             delta_x = 2.0 * extra[:, None] * acts[-1][:m]
             dx_weights = [None] * len(ws)
         for ell in range(len(ws) - 1, -1, -1):
-            slope = 1.0 - acts[ell + 1] ** 2               # through tanh
-            dz = delta * slope
-            d_weights[ell] = dz.T @ acts[ell]
-            delta = dz @ ws[ell]
+            dz = np.square(acts[ell + 1])                  # through tanh:
+            np.subtract(1.0, dz, out=dz)                   # the slope, then dz
             if m:
-                dz_x = delta_x * slope[:m]
+                dz_x = delta_x * dz[:m]
                 # np.dot: matmul takes a slow loop for a single row (m = 1)
                 dx_weights[ell] = np.dot(dz_x.T, acts[ell][:m])
-                delta_x = dz_x @ ws[ell]
+                delta_x = dz_x @ ws[ell] if ell else None
+            dz *= delta
+            d_weights[ell] = dz.T @ acts[ell]
+            delta = dz @ ws[ell]
         return TapeGradient(
             d_input=delta, d_params=self._free_block_grads(d_weights),
             d_params_extra=self._free_block_grads(dx_weights) if m else None)
 
     def _free_block_grads(self, d_weights: list) -> list:
         """Map gradients w.r.t. the stacked weights onto (dG1, dG2)."""
-        d_params = []
-        for layer, dw in zip(self.layers, d_weights):
-            d_top = dw[: layer.d_in, :]
-            d_g1 = layer.g1 @ (d_top + d_top.T)
-            d_g2 = dw[layer.d_in:, :]
-            d_params.append((d_g1, d_g2))
-        return d_params
+        return [(layer.g1 @ (dw[:layer.d_in] + dw[:layer.d_in].T), dw[layer.d_in:])
+                for layer, dw in zip(self.layers, d_weights)]
 
     def grad_x(self, x) -> np.ndarray:
         """Per-sample gradient of V w.r.t. the input, shape (n, 2)."""

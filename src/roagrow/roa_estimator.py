@@ -189,10 +189,13 @@ def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
                        for g1, g2 in d_params))
     if norm > hyper.grad_clip:
         scale = hyper.grad_clip / norm
-        d_params = [(g1 * scale, g2 * scale) for g1, g2 in d_params]
+        for g1, g2 in d_params:
+            g1 *= scale
+            g2 *= scale
     if tape.d_params_extra is not None:
-        d_params = [(g1 + e1, g2 + e2) for (g1, g2), (e1, e2)
-                    in zip(d_params, tape.d_params_extra)]
+        for (g1, g2), (e1, e2) in zip(d_params, tape.d_params_extra):
+            g1 += e1
+            g2 += e2
     return loss, d_params
 
 

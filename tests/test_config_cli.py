@@ -58,6 +58,7 @@ class TestParseConfig:
     @given(st.one_of(
         st.tuples(st.sampled_from(_keys_of("float")), st.floats()),
         st.tuples(st.sampled_from(_keys_of("int")), st.integers(-10, 10**12)),
+        st.tuples(st.sampled_from(_keys_of("int")), st.floats() | st.booleans()),
         st.tuples(st.just("out_dir"), st.text())))
     def test_round_trip_property(self, override):
         # any config that constructs dumps to text that parses back equal
@@ -71,6 +72,16 @@ class TestParseConfig:
         for raw in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match="gravity.*finite"):
                 parse_config_text(f"gravity = {raw}\n")
+
+    @pytest.mark.parametrize("key, value", [("phases", 2.0), ("grid_cells", 100.0),
+                                            ("seed", True), ("seed", False)])
+    def test_int_key_rejects_float_and_bool(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' expects int"):
+            RedesignConfig(**{key: value})
+
+    def test_numpy_int_accepted(self):
+        cfg = RedesignConfig(seed=np.int64(3))
+        assert parse_config_text(dump_config(cfg)) == cfg
 
     @pytest.mark.parametrize("out_dir", ["", "runs/a#1", " x ", "a\nb", "a\r"])
     def test_out_dir_that_would_not_reparse_rejected(self, out_dir):

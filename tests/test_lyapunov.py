@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,52 @@ class TestForward:
         clone = small_net.copy()
         clone.layers[0].g1 += 1.0
         assert not np.allclose(clone.layers[0].g1, small_net.layers[0].g1)
+
+
+# Under OpenBLAS, V of a row in a batch of 18 rows or fewer can differ in its
+# low bits from V in a larger batch; 2B + 18 leaves such a tail unless the
+# remainder joins the last block.
+B = lyapunov.VALUE_BLOCK
+VALUE_ROWS = [1, 18, 19, B - 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 18,
+              10_000, 10_777]
+
+
+class TestValueBlocks:
+    """``value`` walks the rows in blocks and keeps no activations; V of every
+    row must still equal ``forward``'s bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        n = VALUE_ROWS[-1]
+        rng = np.random.default_rng(13)
+        return {"centres": GridDomain(n_theta=110, n_omega=110).centers()[:n],
+                "random": rng.uniform([-2.0, -7.0], [2.0, 7.0], size=(n, 2))}
+
+    @pytest.fixture(scope="class")
+    def loaded_net(self, small_net, tmp_path_factory):
+        path = tmp_path_factory.mktemp("value") / "net.ckpt"
+        save_net(small_net, path)
+        return load_net(path)
+
+    @pytest.mark.parametrize("n", VALUE_ROWS)
+    @pytest.mark.parametrize("where", ["centres", "random"])
+    @pytest.mark.parametrize("which", ["fresh", "loaded"])
+    def test_value_equals_forward_bit_for_bit(self, small_net, loaded_net,
+                                              points, n, where, which):
+        net = small_net if which == "fresh" else loaded_net
+        x = points[where][:n]
+        assert np.array_equal(net.value(x), net.forward(x).v)
+
+    @pytest.mark.parametrize("cells", [100, 200])
+    def test_grid_value_peak_memory(self, small_net, cells):
+        x = GridDomain(n_theta=cells, n_omega=cells).centers()
+        tracemalloc.start()
+        try:
+            small_net.value(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestGradients:
@@ -175,10 +223,10 @@ class TestPretraining:
         target = quadratic_target(points)
         net = small_net.copy()
         grid_passes = []
-        forward = lyapunov.PDLyapunovNet.forward
-        monkeypatch.setattr(lyapunov.PDLyapunovNet, "forward",
+        value = lyapunov.PDLyapunovNet.value
+        monkeypatch.setattr(lyapunov.PDLyapunovNet, "value",
                             lambda n, x: grid_passes.append(len(x) == len(points))
-                            or forward(n, x))
+                            or value(n, x))
         stats = pretrain_quadratic(net, points, target, np.random.default_rng(3),
                                    steps=lyapunov.MSE_CHECK_STEPS)
         # the initial MSE and the one check, which is also the final MSE

@@ -338,9 +338,9 @@ class TestEstimateRoa:
                                                 f_initial, grid, cfg, monkeypatch):
         # one at the cell centres, one at their images under the policy
         rows = []
-        forward = lyapunov.PDLyapunovNet.forward
-        monkeypatch.setattr(lyapunov.PDLyapunovNet, "forward",
-                            lambda net, x: rows.append(len(x)) or forward(net, x))
+        value = lyapunov.PDLyapunovNet.value
+        monkeypatch.setattr(lyapunov.PDLyapunovNet, "value",
+                            lambda net, x: rows.append(len(x)) or value(net, x))
         prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
         hyper = replace(cfg.roa_hyper(1), growth_iters=3, sgd_steps=30)
         estimate_roa(prev, pretrained_level[0], f_initial, f_initial, hyper,
