@@ -75,21 +75,26 @@ def pendulum_deriv(state, u, p: PendulumParams):
     scalar or ``(n,)`` array of input forces.
     """
     state = np.asarray(state, dtype=float)
-    theta = state[..., 0]
     omega = state[..., 1]
-    dtheta = omega
-    domega = (p.g / p.length) * np.sin(theta) + np.asarray(u) / p.inertia \
-        - p.friction * omega / p.inertia
-    return dtheta, domega
+    # the operations of (g/l) sin(theta) + u/I - friction * omega / I, in order
+    domega = np.sin(state[..., 0])
+    domega *= p.g / p.length
+    domega += np.asarray(u) / p.inertia
+    domega -= p.friction * omega / p.inertia
+    return omega, domega
 
 
 def step_euler(state, u, p: PendulumParams):
-    """One forward-Euler step x + dt * xdot, same shape as ``state``."""
+    """One forward-Euler step x + dt * xdot, same shape as ``state``.
+
+    The output keeps the input's memory layout, so an ``(m, 2)`` batch with
+    contiguous columns gives one back.
+    """
     state = np.asarray(state, dtype=float)
     dtheta, domega = pendulum_deriv(state, u, p)
-    out = np.empty(np.broadcast_shapes(state.shape, dtheta.shape + (2,)), dtype=float)
-    out[..., 0] = state[..., 0] + p.dt * dtheta
-    out[..., 1] = state[..., 1] + p.dt * domega
+    out = np.empty_like(state)
+    np.add(state[..., 0], p.dt * dtheta, out=out[..., 0])
+    np.add(state[..., 1], p.dt * domega, out=out[..., 1])
     return out
 
 

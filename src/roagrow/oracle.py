@@ -6,7 +6,8 @@ within the step budget and then stays inside twice that radius for a
 confirmation window.  The work is embarrassingly parallel over cells: the map
 must be row-wise (each output row depends only on its input row), and the
 oracle passes it compacted batches of the cells still running, in ascending
-cell order.
+cell order.  A batch is an ``(m, 2)`` view with contiguous columns, not a
+C-ordered array, so the map must not assume C order.
 """
 
 from __future__ import annotations
@@ -65,7 +66,17 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     ``f`` maps an ``(m, 2)`` batch of states to the next states and must be
     row-wise: each output row depends only on its input row.  Each step passes
     it only the rows of cells still running, in ascending cell order; a cell
-    retires on the step it converges or fails.
+    retires on the step it converges or fails.  The batch is the transpose of
+    a C-ordered ``(2, m)`` array, with contiguous columns: ``f`` must not
+    assume C order, may return either layout, and is fastest when it keeps
+    its input's layout, as :class:`~roagrow.dynamics.ClosedLoopMap` does.
+
+    ``np.hypot`` runs only on rows inside the square ``max(|theta|, |omega|)
+    < 2 * ball_radius``; the others count as infinitely far.  That gives
+    every comparison the result hypot would: their true distance is at
+    least the float ``max(|theta|, |omega|) >= 2 * ball_radius``, so a
+    faithfully rounded hypot is too.  A row holding a NaN lies outside the
+    square and outside the box, and fails.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -73,33 +84,40 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
         box = grid.safety_box()
 
     # only the rows still running are kept, in ascending cell order: the
-    # state, the confirmation counter (>= 0 once inside the ball) and the cell
-    x = grid.centers()
-    converged = np.zeros(len(x), dtype=bool)
-    confirm = np.where(np.hypot(x[:, 0], x[:, 1]) < ball_radius, 0, -1)
-    idx = np.arange(len(x))
+    # state (one contiguous row per coordinate), the step it entered the ball
+    # on (-1 for a cell starting inside, ``never`` before) and the cell
+    x = np.ascontiguousarray(grid.centers().T)
+    never = np.iinfo(np.int64).max
+    entered = np.where(np.hypot(x[0], x[1]) < ball_radius, -1, never)
+    idx = np.arange(x.shape[1])
+    converged = np.zeros(len(idx), dtype=bool)
+    wait = max(confirm_steps, 1)       # entered on step j: confirmed on j + wait
 
     for k in range(k_max + confirm_steps):
         if len(idx) == 0:
             break
-        x = f(x)
-        nrm = np.hypot(x[:, 0], x[:, 1])
+        x = f(x.T).T
+        # hypot only inside the square; outside it inf stands in
+        near = np.abs(x) < 2 * ball_radius
+        near = np.logical_and(near[0], near[1], out=near[0])
+        nrm = np.hypot(x[0], x[1], out=np.full(len(idx), np.inf), where=near)
         # confirmation first: rows that entered on an earlier step must stay
-        # within twice the ball radius for confirm_steps further steps
-        confirming = confirm >= 0
-        failed = out_of_box(x, box) | (confirming & (nrm >= 2 * ball_radius))
-        confirm = confirm + confirming
-        conv = confirming & ~failed & (confirm >= confirm_steps)
+        # within twice the ball radius until they are confirmed
+        confirming = entered < k
+        failed = out_of_box(x.T, box)
+        failed |= confirming & (nrm >= 2 * ball_radius)
+        conv = entered <= k - wait
+        conv &= ~failed
         if k < k_max:
-            confirm[~confirming & (nrm < ball_radius)] = 0
+            entered[~confirming & (nrm < ball_radius)] = k
         else:
             # past the budget only confirmation may continue
             failed |= ~confirming
-        done = failed | conv
-        if done.any():
+        retire = np.logical_or(failed, conv, out=failed)
+        if retire.any():
             converged[idx[conv]] = True
-            keep = ~done
-            x, confirm, idx = x.compress(keep, axis=0), confirm[keep], idx[keep]
+            keep = ~retire
+            x, entered, idx = x.compress(keep, axis=1), entered[keep], idx[keep]
 
     return RoaMask(converged, grid.n_theta, grid.n_omega)
 

@@ -75,9 +75,9 @@ class SatPolicy:
 def sat(z, psi: SatParams):
     """Loose saturation, identity on [b, a], linear continuation outside."""
     z = np.asarray(z, dtype=float)
-    above = psi.a + psi.m_a * (z - psi.a)
-    below = psi.b + psi.m_b * (z - psi.b)
-    return np.where(z > psi.a, above, np.where(z < psi.b, below, z))
+    out = np.where(z < psi.b, psi.b + psi.m_b * (z - psi.b), z)
+    np.putmask(out, z > psi.a, psi.a + psi.m_a * (z - psi.a))
+    return out
 
 
 def sat_slope(z, psi: SatParams):
@@ -89,8 +89,9 @@ def sat_slope(z, psi: SatParams):
 def policy_eval(state, pol: SatPolicy):
     """Control signal sat(-K x); scalar for a single state, (n,) for a batch."""
     state = np.asarray(state, dtype=float)
-    z = -(state[..., 0] * pol.k[0] + state[..., 1] * pol.k[1])
-    return sat(z, pol.psi)
+    z = state[..., 0] * pol.k[0]
+    z += state[..., 1] * pol.k[1]
+    return sat(-z, pol.psi)
 
 
 def policy_grad_psi(state, pol: SatPolicy) -> np.ndarray:

@@ -149,18 +149,32 @@ def label_batch(x0s: np.ndarray, f_pi, est: LevelSetEstimate,
     return LabeledBatch(x_in=x0s[inside], x_out=x0s[~inside])
 
 
-def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
+def _loss_batch(x_in, x_out, xin_next, hyper):
+    """The rows and weights of one growth iteration's SGD steps, fixed while
+    its batch is: ``[x_in; x_out; xin_next]`` and the classifier and decrease
+    weights of each row divided by the batch size."""
+    n_in, n_out = len(x_in), len(x_out)
+    weights = np.concatenate([np.full(n_in, 1.0 - hyper.lambda_roa),
+                              np.full(n_out, -1.0),
+                              np.full(n_in, hyper.lambda_roa)])
+    return (np.concatenate([x_in, x_out, xin_next]),
+            weights / max(1, n_in + n_out))
+
+
+def _roa_loss_grad(net, x, weights, prev_vals, hyper):
     """The four-term training objective and its gradient w.r.t. the net's free
-    blocks, from one forward and one reverse pass over [x_in; x_out; xin_next]:
+    blocks, from one forward and one reverse pass over the rows ``x`` that
+    :func:`_loss_batch` stacks as [x_in; x_out; xin_next]:
 
     classifier terms: sum_in (V - c_bar) - sum_out (V - c_bar)
     decrease term:    lambda_roa * sum_in (V(f_pi(x)) - V(x))
     monotonicity:     lambda_monot * sum_in (V(x) - prev_vals)^2
 
     ``xin_next`` holds f_pi(x_in) and ``prev_vals`` the frozen target
-    V_prev(f_prev(x_in)); no gradient reaches them.  The returned gradient is
-    normalized by the batch size so the step size stays comparable across the
-    growing sample schedule; the loss itself is the plain sum.
+    V_prev(f_prev(x_in)), one value per row of ``x_in``; no gradient reaches
+    them.  The returned gradient is normalized by the batch size, as are
+    ``weights``, so the step size stays comparable across the growing sample
+    schedule; the loss itself is the plain sum.
 
     Only the classifier and decrease terms are capped at ``hyper.grad_clip``:
     they are linear in V and unbounded below, so the cap is what keeps
@@ -169,21 +183,18 @@ def _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper):
     terms it would be scaled to about 1e-10 per step and have no effect.
     Its gradient comes from a second weight column of the same reverse pass.
     """
-    n_in, n_out = len(x_in), len(x_out)
-    x = np.concatenate([x_in, x_out, xin_next])
+    n_in = len(prev_vals)
+    n_out = len(x) - 2 * n_in
     fwd = net.forward(x)
     v_in, v_out, v_next = fwd.v[:n_in], fwd.v[n_in:n_in + n_out], fwd.v[n_in + n_out:]
     loss = float(np.sum(v_in - C_BAR) - np.sum(v_out - C_BAR)
                  + hyper.lambda_roa * np.sum(v_next - v_in)
                  + hyper.lambda_monot * np.sum((v_in - prev_vals) ** 2))
-    weights = np.concatenate([np.full(n_in, 1.0 - hyper.lambda_roa),
-                              np.full(n_out, -1.0),
-                              np.full(n_in, hyper.lambda_roa)])
     n_batch = max(1, n_in + n_out)
     w_monot = None
     if hyper.lambda_monot and n_in:
         w_monot = 2.0 * hyper.lambda_monot * (v_in - prev_vals) / n_batch
-    tape = net.backward(x, weights / n_batch, extra_weights=w_monot, fwd=fwd)
+    tape = net.backward(x, weights, extra_weights=w_monot, fwd=fwd)
     d_params = tape.d_params
     norm = np.sqrt(sum(float((g1 ** 2).sum() + (g2 ** 2).sum())
                        for g1, g2 in d_params))
@@ -257,10 +268,10 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
         xin_next = f_pi(x_in) if len(x_in) else x_in
         prev_vals = (prev_est.net.value(prev_f(x_in)) if len(x_in)
                      else np.zeros(0))
+        x, weights = _loss_batch(x_in, x_out, xin_next, hyper)
         loss = 0.0
         for _ in range(steps_per_iter):
-            loss, d_params = _roa_loss_grad(net, x_in, x_out, xin_next,
-                                            prev_vals, hyper)
+            loss, d_params = _roa_loss_grad(net, x, weights, prev_vals, hyper)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite RoA loss at growth iteration {m}: "

@@ -79,3 +79,20 @@ def gap_growth_check(c: float, alphas, grid: GridDomain) -> dict:
         rel = abs(counted - predicted) / predicted if predicted > 0 else 0.0
         out[alpha] = (counted, predicted, rel)
     return out
+
+
+def reference_step(x, pol, params) -> np.ndarray:
+    """One closed-loop Euler step as the formulas read: u = sat(-K x) with
+    the nested-``np.where`` saturation, then x + dt * (omega, (g/l) sin(theta)
+    + u/I - friction * omega / I).  The result is C-ordered."""
+    x = np.asarray(x, dtype=float)
+    psi = pol.psi
+    z = -(x[..., 0] * pol.k[0] + x[..., 1] * pol.k[1])
+    above = psi.a + psi.m_a * (z - psi.a)
+    below = psi.b + psi.m_b * (z - psi.b)
+    u = np.where(z > psi.a, above, np.where(z < psi.b, below, z))
+    theta, omega = x[..., 0], x[..., 1]
+    domega = ((params.g / params.length) * np.sin(theta) + u / params.inertia
+              - params.friction * omega / params.inertia)
+    return np.stack([theta + params.dt * omega, omega + params.dt * domega],
+                    axis=-1)

@@ -1,12 +1,16 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from roagrow.dynamics import (ClosedLoopMap, LinearModel, PendulumParams,
-                              RiccatiConvergenceError, dare_lqr, linearize,
-                              out_of_box, pendulum_deriv, riccati_step,
-                              rollout_batch, step_euler, step_jacobians)
+                              RiccatiConvergenceError, closed_loop, dare_lqr,
+                              linearize, out_of_box, pendulum_deriv,
+                              riccati_step, rollout_batch, step_euler,
+                              step_jacobians)
+from roagrow.policy import SatParams, SatPolicy
+
+from reference import reference_step
 
 
 @dataclass
@@ -133,6 +137,56 @@ class TestClosedLoop:
             e[i] = h
             jac[:, i] = (f_initial(e) - f_initial(-e)) / (2 * h)
         assert max(abs(np.linalg.eigvals(jac))) < 1.0
+
+
+class TestMapExactness:
+    """The closed-loop map gives the reference formulas' bytes, whatever the
+    batch's memory layout."""
+
+    @staticmethod
+    def states(grid):
+        # inside the box, near the origin, far outside the box, and the signed
+        # zeros
+        rng = np.random.default_rng(11)
+        (tlo, thi), (wlo, whi) = grid.safety_box()
+        inside = rng.uniform([tlo, wlo], [thi, whi], (500, 2))
+        near = rng.normal(0.0, 0.05, (200, 2))
+        outside = rng.uniform(-1e3, 1e3, (200, 2)) * np.array([thi, whi])
+        zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+        return np.concatenate([inside, near, outside, zeros])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "single"])
+    # with friction, constants whose divisions round, so that a reordered
+    # formula shows in the bytes
+    @pytest.mark.parametrize("physics", [{}, dict(friction=0.3, inertia=0.3,
+                                                  length=0.7)],
+                             ids=["frictionless", "friction"])
+    @pytest.mark.parametrize("slopes", [(0.0, 0.0), (0.35, 0.2)],
+                             ids=["thresholds", "slopes"])
+    def test_matches_reference_bit_for_bit(self, lqr, params, grid, layout,
+                                           physics, slopes):
+        pol = SatPolicy(k=lqr[0], psi=SatParams(a=0.3, b=-0.25, m_a=slopes[0],
+                                                m_b=slopes[1]))
+        p = replace(params, **physics)
+        f = closed_loop(pol, p)
+        x = self.states(grid)
+        if layout == "single":
+            for row in x:
+                got, want = f(row), reference_step(row, pol, p)
+                assert got.shape == (2,) and got.tobytes() == want.tobytes()
+            return
+        if layout == "F":
+            x = np.asfortranarray(x)
+        got = f(x)
+        assert got.shape == x.shape
+        assert got.flags.f_contiguous == (layout == "F")
+        assert got.tobytes() == reference_step(x, pol, p).tobytes()
+
+    def test_scalar_input_single_state(self, params):
+        x = np.array([0.4, -1.2])
+        want = reference_step(x, SatPolicy(k=np.zeros(2), psi=SatParams()),
+                              params)
+        assert step_euler(x, 0.0, params).tobytes() == want.tobytes()
 
 
 class TestRollout:

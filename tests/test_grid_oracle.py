@@ -63,9 +63,48 @@ def _kick(x):
     return np.where(n < 0.1, kick * x, 0.5 * x)
 
 
+def _land(p):
+    # every state jumps to p and stays there: p decides entry into the ball
+    p = np.array(p)
+    return lambda x: np.broadcast_to(p, x.shape).copy()
+
+
+def _hop(p):
+    # states alternate between the origin and p: p decides whether a cell
+    # that entered the ball escapes twice its radius during confirmation
+    p = np.array(p)
+    return lambda x: np.where((x == 0.0).all(axis=1)[:, None], p, 0.0)
+
+
+# A ball radius of 5/32 puts (3/32, 4/32) exactly on its rim and (6/32, 8/32)
+# exactly on the rim of twice the ball.  Each point is also taken one ulp
+# nearer the origin and one ulp farther (both coordinates), which moves its
+# hypot across the rim: on an axis, off it, and at the corner of the hypot
+# prefilter's square.
+EDGE_RADIUS = 5 / 32
+
+
+def _ulps(p):
+    p = np.array(p)
+    return {"below": np.nextafter(p, 0.0), "on": p,
+            "above": np.nextafter(p, 2 * p)}
+
+
+EDGE_CASES = {}
+for _kind, _map, _r in (("ball", _land, EDGE_RADIUS),
+                        ("twice", _hop, 2 * EDGE_RADIUS)):
+    for _where, _p in (("theta_axis", (_r, 0.0)), ("omega_axis", (0.0, -_r)),
+                       ("off_axis", (-0.6 * _r, 0.8 * _r))):
+        for _side, _q in _ulps(_p).items():
+            EDGE_CASES[f"{_kind}_{_where}_{_side}"] = _map(_q)
+for _side, _q in _ulps((2 * EDGE_RADIUS, -2 * EDGE_RADIUS)).items():
+    EDGE_CASES[f"square_corner_{_side}"] = _hop(_q)
+
 # name -> (f, k_max, ball_radius, confirm_steps); f None is the initial
 # closed-loop pendulum
 ORACLE_CASES = {
+    **{name: (f, 6, EDGE_RADIUS, 3) for name, f in EDGE_CASES.items()},
+    "c_ordered_output": (lambda x: np.ascontiguousarray(0.9 * x), 30, 0.1, 5),
     "contraction": (lambda x: 0.9 * x, 30, 0.1, 5),
     "expansion_leaves_box": (lambda x: 1.3 * x, 40, 0.1, 5),
     "box_before_return": (_bounce, 12, 0.1, 3),
@@ -148,6 +187,39 @@ class TestTrueRoa:
         got = true_roa(f, SMALL_GRID, k_max=k_max, ball_radius=ball_radius,
                        confirm_steps=confirm_steps)
         assert np.array_equal(got.values, expect)
+
+    def test_edge_cases_hit_both_verdicts(self):
+        # a state on the ball's rim does not enter it and one on twice the
+        # rim escapes; one ulp nearer the origin does the opposite.  The
+        # square's corner lies beyond twice the ball either way
+        for name, f in EDGE_CASES.items():
+            mask = true_roa(f, SMALL_GRID, 6, EDGE_RADIUS, 3)
+            inside = name.endswith("_below") and not name.startswith("square")
+            assert mask.fraction == (1.0 if inside else 0.0), name
+
+    def test_map_gets_contiguous_columns(self):
+        seen = []
+
+        def spy(x):
+            seen.append(x[:, 0].flags.c_contiguous and x[:, 1].flags.c_contiguous)
+            return 0.9 * x
+
+        true_roa(spy, SMALL_GRID, k_max=20, ball_radius=0.1, confirm_steps=3)
+        assert len(seen) > 1 and all(seen)
+
+    def test_hypot_never_below_larger_magnitude(self):
+        # the property the oracle's hypot prefilter rests on
+        rng = np.random.default_rng(17)
+        mag = 10.0 ** rng.uniform(-300, 300, (2, 10**6))
+        a, b = mag * rng.choice([-1.0, 1.0], mag.shape)
+        tiny = np.finfo(float).tiny
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0),
+                          tiny, -tiny, 1e-300, 1.0, np.finfo(float).max])
+        ea, eb = np.meshgrid(edges, edges)
+        a, b = np.concatenate([a, ea.ravel()]), np.concatenate([b, eb.ravel()])
+        with np.errstate(over="ignore"):      # hypot(max, max) is inf
+            r = np.hypot(a, b)
+        assert np.all(r >= np.maximum(np.abs(a), np.abs(b)))
 
     def test_budget_edge(self):
         # under x -> x / 2 every cell of the small grid enters the 0.1-ball on

@@ -1,7 +1,10 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import roagrow.lyapunov as lyapunov
 from roagrow.grid import GridDomain
@@ -238,6 +241,10 @@ class TestPretraining:
         assert np.allclose(quadratic_target(x, 0.1), [0.5, 0.025])
 
 
+# the signed zeros and subnormals, drawn often beside arbitrary finite floats
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2e-308])
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, small_net, tmp_path):
         path = tmp_path / "net.ckpt"
@@ -247,6 +254,26 @@ class TestCheckpoint:
         assert loaded.layers[0].eps == small_net.layers[0].eps
         x = np.array([[0.3, -0.8]])
         assert np.array_equal(loaded.value(x), small_net.value(x))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           st.one_of(st.floats(5e-324, 1e3), st.sampled_from([5e-324, 1e-310])),
+           st.data())
+    def test_round_trip_bit_exact_property(self, steps, eps, data):
+        widths = np.cumsum([2] + steps)
+        net = PDLyapunovNet.initialize(np.random.default_rng(0), widths, eps)
+        n = len(net.flat_params())
+        values = data.draw(st.lists(
+            st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=n, max_size=n))
+        net.set_flat_params(np.array(values))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.ckpt"
+            save_net(net, path)
+            loaded = load_net(path)
+        assert [l.d_out for l in loaded.layers] == list(widths[1:])
+        assert np.float64(loaded.layers[0].eps).tobytes() == np.float64(eps).tobytes()
+        assert loaded.flat_params().tobytes() == net.flat_params().tobytes()
 
     @pytest.mark.parametrize("blob, defect", [
         (b"", "not a version-1"),

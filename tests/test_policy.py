@@ -35,6 +35,21 @@ class TestSat:
             above = sat(z0 + 1e-12, psi)
             assert abs(above - below) < 1e-9
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-5, 5), st.floats(0, 5), st.floats(0, 3), st.floats(0, 3),
+           st.floats(1e-12, 1e-3))
+    def test_continuity_at_kinks_property(self, a, width, m_a, m_b, d):
+        # a kink takes the identity branch, and next to it (one ulp or d
+        # away, on either side) sat moves by at most its Lipschitz bound
+        psi = SatParams(a=a, b=a - width, m_a=m_a, m_b=m_b)
+        lip = max(1.0, m_a, m_b)
+        for z0 in (psi.a, psi.b):
+            assert sat(z0, psi) == z0
+            for z in (z0 - d, z0 + d, np.nextafter(z0, -np.inf),
+                      np.nextafter(z0, np.inf)):
+                tol = lip * abs(z - z0) + 4 * np.spacing(abs(z0) + lip * d)
+                assert abs(sat(z, psi) - z0) <= tol
+
     def test_lipschitz_bound(self):
         rng = np.random.default_rng(0)
         psi = SatParams(a=0.2, b=-0.3, m_a=1.7, m_b=0.4)

@@ -6,7 +6,7 @@ import roagrow.lyapunov as lyapunov
 from roagrow.roa_estimator import (DegenerateLevelError, LevelSetEstimate,
                                    RoaEstHyper, estimate_roa, label_batch,
                                    line_search_level, sample_mixture,
-                                   _roa_loss_grad)
+                                   _loss_batch, _roa_loss_grad)
 
 from reference import cell_index, flatten_grads, roa_loss
 
@@ -192,7 +192,8 @@ class TestRoaLoss:
         prev = LevelSetEstimate(pretrained[0], 0.05)
         xin_next = f_initial(x_in)
         prev_vals = prev.net.value(f_initial(x_in))
-        loss, d_params = _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, hyper)
+        loss, d_params = _roa_loss_grad(
+            net, *_loss_batch(x_in, x_out, xin_next, hyper), prev_vals, hyper)
         flat = flatten_grads(d_params) * (len(x_in) + len(x_out))
         theta = net.flat_params()
         h = 1e-6
@@ -226,7 +227,8 @@ class TestRoaLoss:
 
         def flat_grad(**kw):
             h = replace(hyper, **kw)
-            _, d_params = _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, h)
+            _, d_params = _roa_loss_grad(
+                net, *_loss_batch(x_in, x_out, xin_next, h), prev_vals, h)
             return flatten_grads(d_params)
 
         # the linear part alone is well above the cap, so the cap does cut
@@ -251,7 +253,9 @@ class TestRoaLoss:
         build = lyapunov.build_weight
         monkeypatch.setattr(lyapunov, "build_weight",
                             lambda layer: built.append(layer) or build(layer))
-        _roa_loss_grad(net, x_in, x_out, xin_next, prev_vals, RoaEstHyper())
+        hyper = RoaEstHyper()
+        _roa_loss_grad(net, *_loss_batch(x_in, x_out, xin_next, hyper),
+                       prev_vals, hyper)
         assert len(built) == len(net.layers)
 
 
