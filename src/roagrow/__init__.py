@@ -8,9 +8,8 @@ from .grid import GridDomain
 from .lyapunov import PDLyapunovNet, load_net, pretrain_quadratic, save_net
 from .oracle import RoaMask, true_roa
 from .policy import SatParams, SatPolicy, crop_update, policy_eval, policy_grad_psi, sat
-from .roa_estimator import (LevelSetEstimate, RoaEstHyper, estimate_roa,
-                            label_batch, line_search_level, sample_mixture)
-from .policy_updater import (PolicyUpdHyper, SignalDiagnostics,
-                             sample_policy_batch, update_policy)
+from .roa_estimator import (LevelSetEstimate, estimate_roa, label_batch,
+                            line_search_level, sample_mixture)
+from .policy_updater import SignalDiagnostics, sample_policy_batch, update_policy
 
 __version__ = "0.1.0"

@@ -16,8 +16,6 @@ import numpy as np
 from .dynamics import PendulumParams
 from .grid import GridDomain
 from .policy import SatParams, SatPolicy
-from .roa_estimator import RoaEstHyper
-from .policy_updater import PolicyUpdHyper
 
 __all__ = ["RedesignConfig", "ConfigError", "parse_config", "parse_config_text",
            "dump_config", "VARIANTS"]
@@ -183,23 +181,6 @@ class RedesignConfig:
     def batch_size(self, phase: int) -> int:
         """Sampled-state count for 1-indexed phase ``phase``."""
         return self.batch_init + self.batch_increment * (phase - 1)
-
-    def roa_hyper(self, phase: int) -> RoaEstHyper:
-        return RoaEstHyper(gamma_r=self.gamma_r, beta_r=self.beta_r,
-                           batch_size=self.batch_size(phase),
-                           growth_iters=self.growth_iters,
-                           rollout_steps=self.rollout_steps_r,
-                           lambda_roa=self.lambda_roa,
-                           lambda_monot=self.lambda_monot,
-                           lr=self.roa_lr, sgd_steps=self.roa_sgd_steps,
-                           grad_clip=self.roa_grad_clip)
-
-    def policy_hyper(self, phase: int) -> PolicyUpdHyper:
-        return PolicyUpdHyper(gamma_p=self.gamma_p, beta_p=self.beta_p,
-                              batch_size=self.batch_size(phase),
-                              rollout_steps=self.rollout_steps_p,
-                              lambda_u=self.lambda_u,
-                              lr=self.policy_lr, sgd_steps=self.policy_sgd_steps)
 
     def net_widths(self) -> tuple:
         return (2, self.hidden_width, self.hidden_width, self.hidden_width)

@@ -247,8 +247,8 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
         level_history = []
         for phase in range(1, cfg.phases + 1):
             t0 = time.perf_counter()
-            est, v_grid, growth = estimate_roa(prev_est, v_grid, prev_f, f_cur,
-                                               cfg.roa_hyper(phase), grid, rng, box)
+            est, v_grid, growth = estimate_roa(prev_est, v_grid, prev_f, f_cur, cfg,
+                                               cfg.batch_size(phase), grid, rng)
             note_time(f"estimate_phase_{phase:02d}", t0)
             for rec in growth:
                 metrics.add(phase=phase, iter=rec.iteration, kind="growth",
@@ -269,8 +269,8 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
                          grid.n_theta, grid.n_omega)
 
             t0 = time.perf_counter()
-            policy, rec = update_policy(policy, est, v_grid, f_builder,
-                                        cfg.policy_hyper(phase), grid, rng, box)
+            policy, rec = update_policy(policy, est, v_grid, f_builder, cfg,
+                                        cfg.batch_size(phase), grid, rng)
             f_cur = f_builder(policy)
             note_time(f"policy_phase_{phase:02d}", t0)
 

@@ -318,8 +318,9 @@ def save_net(net: PDLyapunovNet, path):
 
 
 def load_net(path) -> PDLyapunovNet:
-    """Read a checkpoint; a truncated or malformed file raises a ValueError
-    that names the defect."""
+    """Read a checkpoint; a malformed file, or a payload shorter or longer
+    than its header's widths need, raises a ValueError that names the
+    defect."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head, _, payload = blob.partition(b"\n\n")
@@ -341,9 +342,9 @@ def load_net(path) -> PDLyapunovNet:
                          "'eps <positive float>' and 'widths <d0> <d1> ...' with "
                          "non-decreasing widths") from None
     n_bytes = 8 * len(net.flat_params())
-    if len(payload) < n_bytes:
-        raise ValueError(f"checkpoint payload is truncated: expected {n_bytes} "
+    if len(payload) != n_bytes:
+        defect = "truncated" if len(payload) < n_bytes else "too long"
+        raise ValueError(f"checkpoint payload is {defect}: expected {n_bytes} "
                          f"bytes for widths {widths}, got {len(payload)}")
-    net.set_flat_params(np.frombuffer(payload, dtype="<f8",
-                                      count=n_bytes // 8).astype(float))
+    net.set_flat_params(np.frombuffer(payload, dtype="<f8").astype(float))
     return net

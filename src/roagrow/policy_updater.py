@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import RedesignConfig
 from .dynamics import out_of_box
 from .grid import GridDomain
 from .policy import (SatPolicy, crop_update, policy_grad_psi, project_psi,
@@ -22,7 +23,6 @@ from .policy import (SatPolicy, crop_update, policy_grad_psi, project_psi,
 from .roa_estimator import LevelSetEstimate, draw_mixture, gap_ring
 
 __all__ = [
-    "PolicyUpdHyper",
     "SignalDiagnostics",
     "PolicyUpdateRecord",
     "sample_policy_batch",
@@ -33,27 +33,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 WEAK_SIGNAL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class PolicyUpdHyper:
-    gamma_p: float = 4.0
-    beta_p: float = 0.6
-    batch_size: int = 10               # follows the same schedule as the RoA side
-    rollout_steps: int = 10            # L_p
-    lambda_u: float = 10.0
-    lr: float = 0.01
-    sgd_steps: int = 100
-
-    def __post_init__(self):
-        if self.gamma_p <= 1:
-            raise ValueError("gamma_p must be > 1")
-        if not 0 <= self.beta_p <= 1:
-            raise ValueError("beta_p must lie in [0, 1]")
-        if self.lambda_u < 1:
-            raise ValueError("lambda_u must be >= 1")
-        if self.batch_size < 1 or self.rollout_steps < 0 or self.sgd_steps < 0:
-            raise ValueError("invalid counts")
 
 
 @dataclass
@@ -73,11 +52,13 @@ class PolicyUpdateRecord:
     gap_empty: bool
 
 
-def sample_policy_batch(v_grid: np.ndarray, c: float, hyper: PolicyUpdHyper,
-                        grid: GridDomain, rng: np.random.Generator):
-    """Mixture of the gap ring (weight beta_p) and the interior of S_c, from
-    the values ``v_grid`` of V at the cell centres."""
-    gap_cells = np.flatnonzero(gap_ring(v_grid, c, hyper.gamma_p))
+def sample_policy_batch(v_grid: np.ndarray, c: float, cfg: RedesignConfig,
+                        batch_size: int, grid: GridDomain,
+                        rng: np.random.Generator):
+    """``batch_size`` states from a mixture of the gap ring (factor
+    ``cfg.gamma_p``, weight ``cfg.beta_p``) and the interior of S_c, from the
+    values ``v_grid`` of V at the cell centres."""
+    gap_cells = np.flatnonzero(gap_ring(v_grid, c, cfg.gamma_p))
     in_cells = np.flatnonzero(v_grid < c)
     gap_empty = gap_cells.size == 0
     if gap_empty:
@@ -88,8 +69,8 @@ def sample_policy_batch(v_grid: np.ndarray, c: float, hyper: PolicyUpdHyper,
         in_cells = gap_cells
     if gap_cells.size == 0:            # both empty: degenerate estimate
         gap_cells = in_cells = np.arange(grid.n_cells)
-    return (draw_mixture(gap_cells, in_cells, hyper.beta_p, hyper.batch_size,
-                         grid, rng), gap_empty)
+    return (draw_mixture(gap_cells, in_cells, cfg.beta_p, batch_size, grid, rng),
+            gap_empty)
 
 
 def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
@@ -184,27 +165,26 @@ def _diagnostics(grad, g_final, jacs) -> SignalDiagnostics:
 
 
 def update_policy(pol: SatPolicy, est: LevelSetEstimate, v_grid: np.ndarray,
-                  f_builder, hyper: PolicyUpdHyper, grid: GridDomain,
-                  rng: np.random.Generator, box=None):
+                  f_builder, cfg: RedesignConfig, batch_size: int,
+                  grid: GridDomain, rng: np.random.Generator):
     """One policy phase: sample a batch, descend the loss, crop the change.
 
     ``v_grid`` holds the estimate's V at the cell centres.  Returns
-    ``(new_policy, record)``.  The batch is drawn once per phase; the final
-    parameters are cropped against the phase-start values so the induced RoA
-    cannot jump.
+    ``(new_policy, record)``.  The batch of ``batch_size`` states (the
+    phase's ``cfg.batch_size(phase)``) is drawn once per phase and descended
+    for ``cfg.policy_sgd_steps`` steps; the final parameters are cropped
+    against the phase-start values so the induced RoA cannot jump.
     """
-    if box is None:
-        box = grid.safety_box()
-    x0s, gap_empty = sample_policy_batch(v_grid, est.c, hyper, grid, rng)
+    box = grid.safety_box(cfg.safety_box_factor)
+    x0s, gap_empty = sample_policy_batch(v_grid, est.c, cfg, batch_size, grid, rng)
     start_psi = pol.psi
-    for _ in range(hyper.sgd_steps):
+    for _ in range(cfg.policy_sgd_steps):
         clm = f_builder(pol)
-        _, grad, _, _ = bptt(clm, est, x0s, hyper.rollout_steps,
-                             hyper.lambda_u, box)
-        vec = project_psi(pol.psi.as_array() - hyper.lr * grad)
+        _, grad, _, _ = bptt(clm, est, x0s, cfg.rollout_steps_p, cfg.lambda_u, box)
+        vec = project_psi(pol.psi.as_array() - cfg.policy_lr * grad)
         pol = replace(pol, psi=pol.psi.with_array(vec))
     pol = replace(pol, psi=crop_update(start_psi, pol.psi, pol.crop_radius))
     loss, grad, g_final, jacs = bptt(f_builder(pol), est, x0s,
-                                     hyper.rollout_steps, hyper.lambda_u, box)
+                                     cfg.rollout_steps_p, cfg.lambda_u, box)
     return pol, PolicyUpdateRecord(loss, _diagnostics(grad, g_final, jacs),
                                    gap_empty)

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RedesignConfig
 from .dynamics import rollout_batch
 from .grid import GridDomain
 from .lyapunov import PDLyapunovNet
 
 __all__ = [
-    "RoaEstHyper",
     "LevelSetEstimate",
     "LabeledBatch",
     "GrowthRecord",
@@ -41,34 +41,6 @@ C_BAR = 1.0
 
 class DegenerateLevelError(RuntimeError):
     """Line search has nothing to work with (V constant on the grid)."""
-
-
-@dataclass(frozen=True)
-class RoaEstHyper:
-    gamma_r: float = 4.0               # gap ring multiplier
-    beta_r: float = 0.6                # gap share of the sampling mixture
-    batch_size: int = 10               # N, grows by 10 after each policy update
-    growth_iters: int = 20             # M
-    rollout_steps: int = 10            # L_r
-    lambda_roa: float = 1000.0
-    lambda_monot: float = 0.01
-    lr: float = 0.01
-    sgd_steps: int = 10_000            # total per estimate_roa call
-    # cap on the batch-mean gradient norm of the classifier and decrease
-    # terms; the monotonicity term is added after the cap
-    grad_clip: float = 0.0005
-
-    def __post_init__(self):
-        if self.gamma_r <= 1:
-            raise ValueError("gamma_r must be > 1")
-        if not 0 <= self.beta_r <= 1:
-            raise ValueError("beta_r must lie in [0, 1]")
-        if self.batch_size < 1 or self.rollout_steps < 1:
-            raise ValueError("batch_size and rollout_steps must be >= 1")
-        if self.growth_iters < 0 or self.sgd_steps < 0:
-            raise ValueError("growth_iters and sgd_steps cannot be negative")
-        if self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive")
 
 
 @dataclass
@@ -149,19 +121,19 @@ def label_batch(x0s: np.ndarray, f_pi, est: LevelSetEstimate,
     return LabeledBatch(x_in=x0s[inside], x_out=x0s[~inside])
 
 
-def _loss_batch(x_in, x_out, xin_next, hyper):
+def _loss_batch(x_in, x_out, xin_next, cfg: RedesignConfig):
     """The rows and weights of one growth iteration's SGD steps, fixed while
     its batch is: ``[x_in; x_out; xin_next]`` and the classifier and decrease
     weights of each row divided by the batch size."""
     n_in, n_out = len(x_in), len(x_out)
-    weights = np.concatenate([np.full(n_in, 1.0 - hyper.lambda_roa),
+    weights = np.concatenate([np.full(n_in, 1.0 - cfg.lambda_roa),
                               np.full(n_out, -1.0),
-                              np.full(n_in, hyper.lambda_roa)])
+                              np.full(n_in, cfg.lambda_roa)])
     return (np.concatenate([x_in, x_out, xin_next]),
             weights / max(1, n_in + n_out))
 
 
-def _roa_loss_grad(net, x, weights, prev_vals, hyper):
+def _roa_loss_grad(net, x, weights, prev_vals, cfg: RedesignConfig):
     """The four-term training objective and its gradient w.r.t. the net's free
     blocks, from one forward and one reverse pass over the rows ``x`` that
     :func:`_loss_batch` stacks as [x_in; x_out; xin_next]:
@@ -176,7 +148,7 @@ def _roa_loss_grad(net, x, weights, prev_vals, hyper):
     ``weights``, so the step size stays comparable across the growing sample
     schedule; the loss itself is the plain sum.
 
-    Only the classifier and decrease terms are capped at ``hyper.grad_clip``:
+    Only the classifier and decrease terms are capped at ``cfg.roa_grad_clip``:
     they are linear in V and unbounded below, so the cap is what keeps
     training in the useful regime.  The monotonicity term is a squared error,
     bounded below, and is added after the cap: capped with the linear
@@ -188,18 +160,18 @@ def _roa_loss_grad(net, x, weights, prev_vals, hyper):
     fwd = net.forward(x)
     v_in, v_out, v_next = fwd.v[:n_in], fwd.v[n_in:n_in + n_out], fwd.v[n_in + n_out:]
     loss = float(np.sum(v_in - C_BAR) - np.sum(v_out - C_BAR)
-                 + hyper.lambda_roa * np.sum(v_next - v_in)
-                 + hyper.lambda_monot * np.sum((v_in - prev_vals) ** 2))
+                 + cfg.lambda_roa * np.sum(v_next - v_in)
+                 + cfg.lambda_monot * np.sum((v_in - prev_vals) ** 2))
     n_batch = max(1, n_in + n_out)
     w_monot = None
-    if hyper.lambda_monot and n_in:
-        w_monot = 2.0 * hyper.lambda_monot * (v_in - prev_vals) / n_batch
+    if cfg.lambda_monot and n_in:
+        w_monot = 2.0 * cfg.lambda_monot * (v_in - prev_vals) / n_batch
     tape = net.backward(x, weights, extra_weights=w_monot, fwd=fwd)
     d_params = tape.d_params
     norm = np.sqrt(sum(float((g1 ** 2).sum() + (g2 ** 2).sum())
                        for g1, g2 in d_params))
-    if norm > hyper.grad_clip:
-        scale = hyper.grad_clip / norm
+    if norm > cfg.roa_grad_clip:
+        scale = cfg.roa_grad_clip / norm
         for g1, g2 in d_params:
             g1 *= scale
             g2 *= scale
@@ -230,53 +202,50 @@ def line_search_level(v: np.ndarray, v_next: np.ndarray,
 
 
 def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
-                 hyper: RoaEstHyper, grid: GridDomain,
-                 rng: np.random.Generator, box=None):
+                 cfg: RedesignConfig, batch_size: int, grid: GridDomain,
+                 rng: np.random.Generator):
     """Run the growth loop and return ``(estimate, v_grid, records)``.
 
     Training starts from a copy of the previous phase's net; ``prev_est`` and
     ``prev_f`` stay frozen and only feed the monotonicity target, and
-    ``prev_v`` holds the previous net's V at the cell centres.  Each growth
-    iteration consumes an equal share of ``hyper.sgd_steps`` and evaluates the
-    net on the grid twice, at the centres and at their images under ``f_pi``;
-    the values at the centres also serve the next iteration's sampling.  The
-    returned estimate is the iterate whose line-searched sublevel set covers
-    the most grid cells, so a degraded late iteration cannot erase a good
-    inner estimate found earlier in the phase; ``v_grid`` holds its V at the
-    cell centres.
+    ``prev_v`` holds the previous net's V at the cell centres.  Each of the
+    ``cfg.growth_iters`` iterations samples ``batch_size`` states (the
+    phase's ``cfg.batch_size(phase)``), takes an equal share of
+    ``cfg.roa_sgd_steps``, at least one step, and evaluates the net on the
+    grid twice, at the centres and at their images under ``f_pi``; the values
+    at the centres also serve the next iteration's sampling.  The returned
+    estimate is the iterate whose line-searched sublevel set covers the most
+    grid cells, so a degraded late iteration cannot erase a good inner
+    estimate found earlier in the phase; ``v_grid`` holds its V at the cell
+    centres.
     """
-    if box is None:
-        box = grid.safety_box()
+    box = grid.safety_box(cfg.safety_box_factor)
     net = prev_est.net.copy()
     c, v = prev_est.c, prev_v
-    if hyper.growth_iters == 0:
-        return LevelSetEstimate(net, c), v, []
-    steps_per_iter = hyper.sgd_steps // hyper.growth_iters
-    if hyper.sgd_steps > 0 and steps_per_iter == 0:
-        steps_per_iter = 1
+    steps_per_iter = max(1, cfg.roa_sgd_steps // cfg.growth_iters)
     centers = grid.centers()
     next_centers = f_pi(centers)
     records = []
     best = None
     best_frac = -1.0
-    for m in range(1, hyper.growth_iters + 1):
-        x0s, gap_empty = sample_mixture(v, c, hyper.gamma_r, hyper.beta_r,
-                                        hyper.batch_size, grid, rng)
+    for m in range(1, cfg.growth_iters + 1):
+        x0s, gap_empty = sample_mixture(v, c, cfg.gamma_r, cfg.beta_r,
+                                        batch_size, grid, rng)
         labeled = label_batch(x0s, f_pi, LevelSetEstimate(net, c),
-                              hyper.rollout_steps, box)
+                              cfg.rollout_steps_r, box)
         x_in, x_out = labeled.x_in, labeled.x_out
         xin_next = f_pi(x_in) if len(x_in) else x_in
         prev_vals = (prev_est.net.value(prev_f(x_in)) if len(x_in)
                      else np.zeros(0))
-        x, weights = _loss_batch(x_in, x_out, xin_next, hyper)
+        x, weights = _loss_batch(x_in, x_out, xin_next, cfg)
         loss = 0.0
         for _ in range(steps_per_iter):
-            loss, d_params = _roa_loss_grad(net, x, weights, prev_vals, hyper)
+            loss, d_params = _roa_loss_grad(net, x, weights, prev_vals, cfg)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite RoA loss at growth iteration {m}: "
                     f"|in|={len(x_in)} |out|={len(x_out)} c={c:.4g}")
-            net.sgd_step(d_params, hyper.lr)
+            net.sgd_step(d_params, cfg.roa_lr)
         v = net.value(centers)
         c = line_search_level(v, net.value(next_centers), grid)
         frac = float((v < c).sum()) / grid.n_cells

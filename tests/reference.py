@@ -8,21 +8,22 @@ from roagrow.oracle import RoaMask
 from roagrow.roa_estimator import C_BAR, gap_ring
 
 
-def roa_loss(net, x_in, x_out, f_pi, prev, prev_f, hyper) -> float:
+def roa_loss(net, x_in, x_out, f_pi, prev, prev_f, cfg) -> float:
     """The four-term estimation loss, term by term:
 
     classifier terms: sum_in (V - c_bar) - sum_out (V - c_bar)
     decrease term:    lambda_roa * sum_in (V(f_pi(x)) - V(x))
     monotonicity:     lambda_monot * sum_in (V(x) - V_prev(f_prev(x)))^2
 
-    ``net`` and ``prev.net`` need only a batched ``value``.
+    ``net`` and ``prev.net`` need only a batched ``value``; ``cfg`` gives the
+    two weights.
     """
     x_in = np.asarray(x_in, dtype=float).reshape(-1, 2)
     x_out = np.asarray(x_out, dtype=float).reshape(-1, 2)
     v_in, v_out = net.value(x_in), net.value(x_out)
     classifier = np.sum(v_in - C_BAR) - np.sum(v_out - C_BAR)
-    decrease = hyper.lambda_roa * np.sum(net.value(f_pi(x_in)) - v_in)
-    monotonicity = hyper.lambda_monot * np.sum(
+    decrease = cfg.lambda_roa * np.sum(net.value(f_pi(x_in)) - v_in)
+    monotonicity = cfg.lambda_monot * np.sum(
         (v_in - prev.net.value(prev_f(x_in))) ** 2)
     return float(classifier + decrease + monotonicity)
 

@@ -1,4 +1,6 @@
+import inspect
 import logging
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +18,25 @@ def _keys_of(kind: str) -> list:
     return [f.name for f in fields(RedesignConfig) if f.type == kind]
 
 
+# one violating value per entry of the check table in
+# RedesignConfig.__post_init__, every other key at its default
+VIOLATIONS = {
+    "dt": 0.0, "length": 0.0, "inertia": -0.25, "friction": -0.1,
+    "theta_min": 2.0, "omega_min": 7.0, "grid_cells": 1, "lqr_q": 0.0,
+    "lqr_r": -1.0, "sat_b": 0.3, "sat_slope_a": -0.1, "sat_slope_b": -0.1,
+    "crop_radius": 0.0, "variant": "both", "pd_eps": 0.0,
+    "pretrain_target": "cubic", "hidden_width": 1, "pretrain_lr": 0.0,
+    "pretrain_steps": -1, "pretrain_batch": 0, "gamma_r": 0.5, "gamma_p": 1.0,
+    "beta_r": 1.5, "beta_p": -0.1, "growth_iters": 0, "rollout_steps_r": 0,
+    "rollout_steps_p": -1, "lambda_roa": -1.0, "lambda_monot": -0.01,
+    "lambda_u": 0.5, "roa_lr": 0.0, "policy_lr": -0.01, "roa_sgd_steps": 0,
+    "roa_grad_clip": 0.0, "policy_sgd_steps": -1, "phases": -1,
+    "batch_init": 0, "batch_increment": -1, "oracle_kmax": 0,
+    "oracle_ball_radius": 0.0, "oracle_confirm_steps": -1,
+    "safety_box_factor": 0.5, "seed": -1, "out_dir": "runs/a#1",
+}
+
+
 class TestParseConfig:
     def test_empty_text_gives_defaults(self):
         assert parse_config_text("") == RedesignConfig()
@@ -27,6 +48,23 @@ class TestParseConfig:
     def test_invariant_violation_rejected(self):
         with pytest.raises(ConfigError, match="gamma_r"):
             parse_config_text("gamma_r = 0.5")
+
+    @pytest.mark.parametrize("key", VIOLATIONS)
+    def test_each_invariant_names_its_key(self, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must"):
+            RedesignConfig(**{key: VIOLATIONS[key]})
+
+    def test_violations_cover_the_check_table(self):
+        # the keys the checks name, read from their ("key", "why") pairs
+        source = inspect.getsource(RedesignConfig.__post_init__)
+        checked = re.findall(r'"(\w+)",\s*f?"must', source)
+        assert len(checked) == len(set(checked)) == len(VIOLATIONS)
+        assert set(checked) == set(VIOLATIONS)
+
+    def test_defaults_follow_the_paper_schedule(self, cfg):
+        # the batch schedule the README states; the estimator and policy
+        # defaults are checked next to their updaters
+        assert [cfg.batch_size(phase) for phase in (1, 2, 3, 20)] == [10, 20, 30, 200]
 
     def test_unknown_key_names_key_and_line(self):
         with pytest.raises(ConfigError, match=r"line 3.*no_such_key"):

@@ -285,8 +285,11 @@ class TestCheckpoint:
         (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 4 2\n\n", "malformed"),
         (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 2 4\n\n" + bytes(8),
          r"payload is truncated: expected 64 bytes .* got 8"),
+        # a 2-8-8-8 payload under a 2-8-8 header
+        (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 2 8 8\n\n" + bytes(1152),
+         r"payload is too long: expected 640 bytes .* got 1152"),
     ], ids=["empty", "no-eps", "no-widths", "bad-eps", "swapped", "one-width",
-            "contracting", "short-payload"])
+            "contracting", "short-payload", "long-payload"])
     def test_bad_header_names_the_defect(self, tmp_path, blob, defect):
         path = tmp_path / "net.ckpt"
         path.write_bytes(blob)

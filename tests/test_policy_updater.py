@@ -5,8 +5,8 @@ from dataclasses import replace
 import roagrow.policy_updater as policy_updater
 from roagrow.dynamics import ClosedLoopMap, closed_loop
 from roagrow.policy import SatParams, SatPolicy
-from roagrow.policy_updater import (PolicyUpdHyper, _diagnostics, bptt,
-                                    sample_policy_batch, update_policy)
+from roagrow.policy_updater import (_diagnostics, bptt, sample_policy_batch,
+                                    update_policy)
 from roagrow.roa_estimator import LevelSetEstimate
 
 from reference import cell_index
@@ -54,47 +54,36 @@ class ContractionMap(ClosedLoopMap):
 
 class TestHyper:
     def test_defaults(self, cfg):
-        h = cfg.policy_hyper(1)
-        assert (h.gamma_p, h.beta_p, h.rollout_steps) == (4.0, 0.6, 10)
-        assert (h.lambda_u, h.lr, h.sgd_steps) == (10.0, 0.01, 100)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            PolicyUpdHyper(lambda_u=0.5)
-        with pytest.raises(ValueError):
-            PolicyUpdHyper(gamma_p=1.0)
+        assert (cfg.gamma_p, cfg.beta_p, cfg.rollout_steps_p) == (4, 0.6, 10)
+        assert (cfg.lambda_u, cfg.policy_lr, cfg.policy_sgd_steps) == (10, 0.01, 100)
 
 
 class TestSamplePolicyBatch:
     def test_beta_zero_samples_interior(self, grid, cfg):
         v_cells = quad_grid(grid)
-        hyper = replace(cfg.policy_hyper(1), beta_p=0.0, batch_size=2000)
-        pts, empty = sample_policy_batch(v_cells, 1.0, hyper, grid,
-                                         np.random.default_rng(0))
+        pts, empty = sample_policy_batch(v_cells, 1.0, replace(cfg, beta_p=0.0),
+                                         2000, grid, np.random.default_rng(0))
         assert not empty
         assert np.all(v_cells[cell_index(grid, pts)] < 1.0)
 
     def test_beta_one_samples_gap(self, grid, cfg):
         v_cells = quad_grid(grid)
-        hyper = replace(cfg.policy_hyper(1), beta_p=1.0, batch_size=2000)
-        pts, empty = sample_policy_batch(v_cells, 1.0, hyper, grid,
-                                         np.random.default_rng(1))
+        pts, empty = sample_policy_batch(v_cells, 1.0, replace(cfg, beta_p=1.0),
+                                         2000, grid, np.random.default_rng(1))
         assert not empty
         idx = cell_index(grid, pts)
         assert np.all((v_cells[idx] >= 1.0) & (v_cells[idx] < 4.0))
 
     def test_mixture_fraction(self, grid, cfg):
         v_cells = quad_grid(grid)
-        hyper = replace(cfg.policy_hyper(1), batch_size=10_000)
-        pts, _ = sample_policy_batch(v_cells, 1.0, hyper, grid,
+        pts, _ = sample_policy_batch(v_cells, 1.0, cfg, 10_000, grid,
                                      np.random.default_rng(2))
         gap = (v_cells >= 1.0) & (v_cells < 4.0)
         measured = gap[cell_index(grid, pts)].mean()
         assert abs(measured - 0.6) < 0.02
 
     def test_empty_gap_flagged(self, grid, cfg):
-        hyper = replace(cfg.policy_hyper(1), batch_size=50)
-        pts, empty = sample_policy_batch(quad_grid(grid), 1e6, hyper, grid,
+        pts, empty = sample_policy_batch(quad_grid(grid), 1e6, cfg, 50, grid,
                                          np.random.default_rng(3))
         assert empty and len(pts) == 50
 
@@ -238,20 +227,21 @@ class TestUpdatePolicy:
     def test_zero_steps_returns_same_policy(self, initial_policy, pretrained,
                                             pretrained_level, grid, cfg, params):
         est = LevelSetEstimate(pretrained[0], 0.05)
-        hyper = replace(cfg.policy_hyper(1), sgd_steps=0)
+        no_steps = replace(cfg, policy_sgd_steps=0)
         fb = lambda p: closed_loop(p, params)
         new, rec = update_policy(initial_policy, est, pretrained_level[0], fb,
-                                 hyper, grid, np.random.default_rng(0))
+                                 no_steps, no_steps.batch_size(1), grid,
+                                 np.random.default_rng(0))
         assert new.psi == initial_policy.psi
 
     def test_crop_bound_enforced(self, initial_policy, pretrained,
                                  pretrained_level, grid, cfg, params):
         v0, c0 = pretrained_level
         est = LevelSetEstimate(pretrained[0], c0)
-        hyper = replace(cfg.policy_hyper(1), sgd_steps=50)
+        short = replace(cfg, policy_sgd_steps=50)
         fb = lambda p: closed_loop(p, params)
-        new, rec = update_policy(initial_policy, est, v0, fb, hyper, grid,
-                                 np.random.default_rng(1))
+        new, rec = update_policy(initial_policy, est, v0, fb, short,
+                                 short.batch_size(1), grid, np.random.default_rng(1))
         delta = np.abs(new.psi.as_array() - initial_policy.psi.as_array())
         assert np.all(delta <= initial_policy.crop_radius + 1e-12)
         assert new.psi.b <= new.psi.a
@@ -262,7 +252,7 @@ class TestUpdatePolicy:
         v0, c0 = pretrained_level
         est = LevelSetEstimate(pretrained[0], c0)
         fb = lambda p: closed_loop(p, params)
-        new, rec = update_policy(initial_policy, est, v0, fb, cfg.policy_hyper(1),
+        new, rec = update_policy(initial_policy, est, v0, fb, cfg, cfg.batch_size(1),
                                  grid, np.random.default_rng(2))
         assert new.psi.a > initial_policy.psi.a
         assert new.psi.b < initial_policy.psi.b
@@ -270,19 +260,20 @@ class TestUpdatePolicy:
     def test_one_bptt_pass_per_step_and_report(self, initial_policy, grid, cfg,
                                                 params, monkeypatch):
         est = LevelSetEstimate(QuadV(), 1.0)
-        hyper = replace(cfg.policy_hyper(1), sgd_steps=3)
+        short = replace(cfg, policy_sgd_steps=3)
         fb = lambda p: closed_loop(p, params)
-        x0s, _ = sample_policy_batch(quad_grid(grid), est.c, hyper, grid,
+        x0s, _ = sample_policy_batch(quad_grid(grid), est.c, short,
+                                     short.batch_size(1), grid,
                                      np.random.default_rng(4))
         passes = []
         monkeypatch.setattr(policy_updater, "bptt",
                             lambda *a: passes.append(1) or bptt(*a))
-        new, rec = update_policy(initial_policy, est, quad_grid(grid), fb, hyper,
-                                 grid, np.random.default_rng(4))
-        assert len(passes) == hyper.sgd_steps + 1
+        new, rec = update_policy(initial_policy, est, quad_grid(grid), fb, short,
+                                 short.batch_size(1), grid, np.random.default_rng(4))
+        assert len(passes) == short.policy_sgd_steps + 1
         # the report is the one a fresh pass gives for the final policy
-        args = (fb(new), est, x0s, hyper.rollout_steps, hyper.lambda_u,
-                grid.safety_box())
+        args = (fb(new), est, x0s, short.rollout_steps_p, short.lambda_u,
+                grid.safety_box(short.safety_box_factor))
         loss, *tape = bptt(*args)
         diag = _diagnostics(*tape)
         assert rec.loss == loss

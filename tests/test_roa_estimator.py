@@ -3,10 +3,10 @@ import pytest
 from dataclasses import replace
 
 import roagrow.lyapunov as lyapunov
+from roagrow.config import RedesignConfig
 from roagrow.roa_estimator import (DegenerateLevelError, LevelSetEstimate,
-                                   RoaEstHyper, estimate_roa, label_batch,
-                                   line_search_level, sample_mixture,
-                                   _loss_batch, _roa_loss_grad)
+                                   estimate_roa, label_batch, line_search_level,
+                                   sample_mixture, _loss_batch, _roa_loss_grad)
 
 from reference import cell_index, flatten_grads, roa_loss
 
@@ -37,19 +37,11 @@ expand = lambda x: 2.0 * np.asarray(x, dtype=float)
 
 class TestHyper:
     def test_defaults_follow_schedule(self, cfg):
-        h = cfg.roa_hyper(1)
-        assert (h.gamma_r, h.beta_r, h.batch_size) == (4.0, 0.6, 10)
-        assert (h.growth_iters, h.rollout_steps) == (20, 10)
-        assert (h.lambda_roa, h.lambda_monot) == (1000.0, 0.01)
-        assert cfg.roa_hyper(3).batch_size == 30
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            RoaEstHyper(gamma_r=0.5)
-        with pytest.raises(ValueError):
-            RoaEstHyper(beta_r=1.5)
-        with pytest.raises(ValueError):
-            RoaEstHyper(batch_size=0)
+        assert (cfg.gamma_r, cfg.beta_r, cfg.batch_size(1)) == (4, 0.6, 10)
+        assert (cfg.growth_iters, cfg.rollout_steps_r) == (20, 10)
+        assert (cfg.lambda_roa, cfg.lambda_monot) == (1000, 0.01)
+        assert (cfg.roa_lr, cfg.roa_sgd_steps, cfg.roa_grad_clip) == (0.01, 10_000, 5e-4)
+        assert cfg.batch_size(3) == 30
 
 
 class TestSampleMixture:
@@ -143,17 +135,15 @@ class TestLabelBatch:
 
 
 class TestRoaLoss:
-    def _hyper(self, **kw):
-        base = dict(lambda_roa=0.0, lambda_monot=0.0)
-        base.update(kw)
-        return RoaEstHyper(**base)
+    def _cfg(self, **kw):
+        return RedesignConfig(**{"lambda_roa": 0.0, "lambda_monot": 0.0, **kw})
 
     def test_single_in_state_at_cbar(self):
         net = QuadV()
         x = np.array([[1.0, 0.0]])           # V = 1 = c_bar
         prev = LevelSetEstimate(QuadV(), 1.0)
         loss = roa_loss(net, x, np.zeros((0, 2)), lambda z: z, prev, lambda z: z,
-                        self._hyper())
+                        self._cfg())
         assert loss == pytest.approx(0.0)
 
     def test_classifier_terms(self):
@@ -162,7 +152,7 @@ class TestRoaLoss:
         x_out = np.array([[np.sqrt(2.0), 0.0]])  # V = 2
         prev = LevelSetEstimate(QuadV(), 1.0)
         loss = roa_loss(net, x_in, x_out, lambda z: z, prev, lambda z: z,
-                        self._hyper())
+                        self._cfg())
         assert loss == pytest.approx((0.5 - 1) - (2 - 1))
 
     def test_monotonicity_term(self):
@@ -171,7 +161,7 @@ class TestRoaLoss:
         # previous composition evaluates to 0.5 at that state
         prev = LevelSetEstimate(QuadV(scale=0.5 / 0.7), 1.0)
         loss = roa_loss(net, x_in, np.zeros((0, 2)), lambda z: z, prev,
-                        lambda z: z, self._hyper(lambda_monot=1.0))
+                        lambda z: z, self._cfg(lambda_monot=1.0))
         assert loss == pytest.approx((0.7 - 1) + (0.7 - 0.5) ** 2)
 
     def test_decrease_term_uses_current_policy(self):
@@ -179,28 +169,28 @@ class TestRoaLoss:
         x_in = np.array([[1.0, 0.0]])
         prev = LevelSetEstimate(QuadV(), 1.0)
         loss = roa_loss(net, x_in, np.zeros((0, 2)), contract, prev, lambda z: z,
-                        self._hyper(lambda_roa=2.0))
+                        self._cfg(lambda_roa=2.0))
         # Delta V = 0.25 - 1 under the contraction
         assert loss == pytest.approx((1 - 1) + 2.0 * (0.25 - 1.0))
 
     def test_gradient_matches_finite_differences(self, pretrained, f_initial, cfg):
         net = pretrained[0].copy()
         rng = np.random.default_rng(7)
-        hyper = replace(cfg.roa_hyper(1), grad_clip=1e9)  # raw gradient
+        raw = replace(cfg, roa_grad_clip=1e9)  # raw gradient
         x_in = rng.uniform(-0.5, 0.5, (4, 2))
         x_out = rng.uniform(-1, 1, (5, 2))
         prev = LevelSetEstimate(pretrained[0], 0.05)
         xin_next = f_initial(x_in)
         prev_vals = prev.net.value(f_initial(x_in))
         loss, d_params = _roa_loss_grad(
-            net, *_loss_batch(x_in, x_out, xin_next, hyper), prev_vals, hyper)
+            net, *_loss_batch(x_in, x_out, xin_next, raw), prev_vals, raw)
         flat = flatten_grads(d_params) * (len(x_in) + len(x_out))
         theta = net.flat_params()
         h = 1e-6
 
         def loss_at(vec):
             net.set_flat_params(vec)
-            out = roa_loss(net, x_in, x_out, f_initial, prev, f_initial, hyper)
+            out = roa_loss(net, x_in, x_out, f_initial, prev, f_initial, raw)
             net.set_flat_params(theta)
             return out
 
@@ -213,7 +203,8 @@ class TestRoaLoss:
             fd = (loss_at(theta + h * d) - loss_at(theta - h * d)) / (2 * h)
             assert abs(flat @ d - fd) / max(1.0, abs(fd)) < 1e-4
 
-    def test_monotonicity_gradient_added_after_the_cap(self, small_net, f_initial):
+    def test_monotonicity_gradient_added_after_the_cap(self, small_net, f_initial,
+                                                         cfg):
         net = small_net.copy()
         rng = np.random.default_rng(3)
         x_in = rng.uniform(-0.5, 0.5, (3, 2))
@@ -221,28 +212,27 @@ class TestRoaLoss:
         xin_next = f_initial(x_in)
         v_in = net.value(x_in)
         prev_vals = v_in + np.array([0.3, -0.2, 0.5])
-        hyper = RoaEstHyper()
-        lam = hyper.lambda_monot
+        lam = cfg.lambda_monot
         assert lam > 0
 
         def flat_grad(**kw):
-            h = replace(hyper, **kw)
+            c = replace(cfg, **kw)
             _, d_params = _roa_loss_grad(
-                net, *_loss_batch(x_in, x_out, xin_next, h), prev_vals, h)
+                net, *_loss_batch(x_in, x_out, xin_next, c), prev_vals, c)
             return flatten_grads(d_params)
 
         # the linear part alone is well above the cap, so the cap does cut
-        raw_linear = flat_grad(lambda_monot=0.0, grad_clip=1e9)
-        assert np.linalg.norm(raw_linear) > 10 * hyper.grad_clip
+        raw_linear = flat_grad(lambda_monot=0.0, roa_grad_clip=1e9)
+        assert np.linalg.norm(raw_linear) > 10 * cfg.roa_grad_clip
         capped = flat_grad(lambda_monot=0.0)
-        assert np.linalg.norm(capped) <= hyper.grad_clip * (1 + 1e-12)
+        assert np.linalg.norm(capped) <= cfg.roa_grad_clip * (1 + 1e-12)
 
         n_batch = len(x_in) + len(x_out)
         expect = flatten_grads(
             net.backward(x_in, 2.0 * lam * (v_in - prev_vals) / n_batch).d_params)
         np.testing.assert_allclose(flat_grad() - capped, expect, rtol=1e-10)
 
-    def test_one_forward_per_step(self, small_net, f_initial, monkeypatch):
+    def test_one_forward_per_step(self, small_net, f_initial, cfg, monkeypatch):
         net = small_net.copy()
         rng = np.random.default_rng(5)
         x_in = rng.uniform(-0.5, 0.5, (3, 2))
@@ -253,9 +243,7 @@ class TestRoaLoss:
         build = lyapunov.build_weight
         monkeypatch.setattr(lyapunov, "build_weight",
                             lambda layer: built.append(layer) or build(layer))
-        hyper = RoaEstHyper()
-        _roa_loss_grad(net, *_loss_batch(x_in, x_out, xin_next, hyper),
-                       prev_vals, hyper)
+        _roa_loss_grad(net, *_loss_batch(x_in, x_out, xin_next, cfg), prev_vals, cfg)
         assert len(built) == len(net.layers)
 
 
@@ -295,26 +283,14 @@ class TestLineSearch:
 
 
 class TestEstimateRoa:
-    def test_zero_iterations_returns_previous(self, pretrained, pretrained_level,
-                                              f_initial, grid, cfg):
-        net = pretrained[0]
-        prev = LevelSetEstimate(net, 0.05)
-        hyper = replace(cfg.roa_hyper(1), growth_iters=0)
-        est, v, records = estimate_roa(prev, pretrained_level[0], f_initial,
-                                       f_initial, hyper, grid,
-                                       np.random.default_rng(0))
-        assert records == []
-        assert est.c == prev.c
-        assert v is pretrained_level[0]
-        assert np.array_equal(est.net.flat_params(), net.flat_params())
-
     def test_short_run_is_sound_and_logged(self, pretrained, pretrained_level,
                                            f_initial, grid, cfg):
         v0, c0 = pretrained_level
         prev = LevelSetEstimate(pretrained[0], c0)
-        hyper = replace(cfg.roa_hyper(1), growth_iters=5, sgd_steps=500)
-        est, v, records = estimate_roa(prev, v0, f_initial, f_initial, hyper,
-                                       grid, np.random.default_rng(1))
+        short = replace(cfg, growth_iters=5, roa_sgd_steps=500)
+        est, v, records = estimate_roa(prev, v0, f_initial, f_initial, short,
+                                       short.batch_size(1), grid,
+                                       np.random.default_rng(1))
         assert len(records) == 5
         centers = grid.centers()
         assert np.array_equal(v, est.net.value(centers))
@@ -326,12 +302,12 @@ class TestEstimateRoa:
     def test_deterministic_under_seed(self, pretrained, pretrained_level,
                                       f_initial, grid, cfg):
         prev = LevelSetEstimate(pretrained[0], 0.05)
-        hyper = replace(cfg.roa_hyper(1), growth_iters=3, sgd_steps=300)
+        short = replace(cfg, growth_iters=3, roa_sgd_steps=300)
         outs = []
         for _ in range(2):
             est, _, recs = estimate_roa(prev, pretrained_level[0], f_initial,
-                                        f_initial, hyper, grid,
-                                        np.random.default_rng(3))
+                                        f_initial, short, short.batch_size(1),
+                                        grid, np.random.default_rng(3))
             outs.append((est.net.flat_params(), est.c,
                          [r.est_fraction for r in recs]))
         assert np.array_equal(outs[0][0], outs[1][0])
@@ -346,7 +322,7 @@ class TestEstimateRoa:
         monkeypatch.setattr(lyapunov.PDLyapunovNet, "value",
                             lambda net, x: rows.append(len(x)) or value(net, x))
         prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
-        hyper = replace(cfg.roa_hyper(1), growth_iters=3, sgd_steps=30)
-        estimate_roa(prev, pretrained_level[0], f_initial, f_initial, hyper,
-                     grid, np.random.default_rng(2))
-        assert rows.count(grid.n_cells) == 2 * hyper.growth_iters
+        short = replace(cfg, growth_iters=3, roa_sgd_steps=30)
+        estimate_roa(prev, pretrained_level[0], f_initial, f_initial, short,
+                     short.batch_size(1), grid, np.random.default_rng(2))
+        assert rows.count(grid.n_cells) == 2 * short.growth_iters
