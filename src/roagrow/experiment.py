@@ -11,11 +11,19 @@ Everything a run writes lives under one output directory:
 
 A (config, seed) pair determines every byte of the outputs except
 timings.txt.
+
+The oracle only validates a policy; nothing the run computes next depends on
+its mask until the next phase's estimate is in.  So every policy's oracle but
+the final one runs in one forked child (POSIX ``fork``) while the next phase
+estimates, and its masks and metrics row are written when the parent
+collects it: the files and their bytes are those of a run that waits.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,17 +94,22 @@ class MetricsLog:
 
 
 def read_metrics(path):
-    """Parse a metrics CSV back into a list of row dicts (strings kept)."""
+    """Parse a metrics CSV back into a list of row dicts (strings kept); a
+    row whose field count differs from the header's raises a ValueError
+    naming its line."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("# roagrow-metrics"):
         raise ValueError("not a roagrow metrics file")
     header = lines[1].split(",")
-    for ln in lines[2:]:
+    for line_no, ln in enumerate(lines[2:], start=3):
         if not ln:
             continue
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: line {line_no} has {len(parts)} fields, "
+                             f"the header {len(header)}")
         row = dict(zip(header, parts))
         for key in header:
             if key in ("kind", "flags"):
@@ -184,11 +197,61 @@ def pretrain_net(cfg: RedesignConfig, grid: GridDomain, rng) -> tuple:
     return net, stats, k_gain, p_mat
 
 
+def _start_in_child(fn, *args):
+    """Call ``fn(*args)`` in a forked child and return a function that waits
+    for it: that function returns the child's result or raises its exception
+    (one that does not pickle as a RuntimeError naming it), and always reaps
+    the child.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                blob = pickle.dumps((True, fn(*args)))
+            except BaseException as exc:
+                try:
+                    blob = pickle.dumps((False, exc))
+                    pickle.loads(blob)
+                except Exception:
+                    blob = pickle.dumps((False, RuntimeError(
+                        f"the oracle child raised an exception that does not "
+                        f"pickle: {exc!r}")))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(blob)
+            code = 0
+        finally:
+            # no flush of the parent's buffers, no finally blocks of its frames
+            os._exit(code)
+    os.close(write_fd)
+
+    def join():
+        # read to EOF before waiting: a result larger than the pipe buffer
+        # would block the child's write, and so its exit
+        try:
+            with os.fdopen(read_fd, "rb") as fh:
+                blob = fh.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if not blob:
+            raise RuntimeError(f"the oracle child exited without a result "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        return value
+
+    return join
+
+
 def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
     """Execute the full loop and write all artifacts.
 
     Partial artifacts survive a failing phase: the metrics CSV is flushed row
-    by row and checkpoints are written as soon as they exist.
+    by row, checkpoints are written as soon as they exist, and the oracle of
+    the latest policy is collected and written before the error propagates.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,23 +263,58 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
     timings = open(out / "timings.txt", "w", encoding="ascii")
     t_run = time.perf_counter()
 
-    def note_time(label: str, t0: float):
-        timings.write(f"{label} {time.perf_counter() - t0:.3f}s\n")
+    def note_seconds(label: str, seconds: float):
+        timings.write(f"{label} {seconds:.3f}s\n")
         timings.flush()
+
+    def note_time(label: str, t0: float):
+        note_seconds(label, time.perf_counter() - t0)
 
     rng = np.random.default_rng(cfg.seed)
     params = cfg.pendulum_params()
     grid = cfg.grid()
     box = grid.safety_box(cfg.safety_box_factor)
     metrics = MetricsLog(out / "metrics.csv")
+    oracle_fractions = []
+    pending = None          # (join, name, row) of the oracle running in a child
 
-    def oracle_mask(f, name: str):
+    def timed_oracle(f):
         t0 = time.perf_counter()
         mask = true_roa(f, grid, cfg.oracle_kmax, cfg.oracle_ball_radius,
                         cfg.oracle_confirm_steps, box)
-        note_time(name, t0)
+        return mask, time.perf_counter() - t0
+
+    def record(name: str, row: dict, mask):
+        """Write a policy's masks and its metrics row, which waited for them."""
         save_mask_pgm(mask, out / "masks" / f"{name}.pgm")
         save_mask_csv(mask, out / "masks" / f"{name}.csv")
+        oracle_fractions.append(mask.fraction)
+        metrics.add(**row, oracle_fraction=mask.fraction)
+        if row["kind"] == "policy":
+            log.info("phase %d: c=%.4f est=%.4f oracle=%.4f psi=(%.3f, %.3f, %.3f, %.3f)",
+                     row["phase"], row["level_c"], row["est_fraction"], mask.fraction,
+                     row["sat_a"], row["sat_b"], row["sat_ma"], row["sat_mb"])
+
+    def check_policy(f, name: str, row: dict, last: bool):
+        """Validate a new policy: in this process when it is the last, so
+        there is nothing to overlap, else in a child collected later."""
+        nonlocal pending
+        if last:
+            mask, seconds = timed_oracle(f)
+            note_seconds(name, seconds)
+            record(name, row, mask)
+        else:
+            pending = (_start_in_child(timed_oracle, f), name, row)
+
+    def collect():
+        nonlocal pending
+        join, name, row = pending
+        pending = None
+        t0 = time.perf_counter()
+        mask, seconds = join()
+        note_seconds(name, seconds)
+        note_time(f"{name}_wait", t0)
+        record(name, row, mask)
         return mask
 
     try:
@@ -235,13 +333,12 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
         est = LevelSetEstimate(net, line_search_level(
             v_grid, net.value(f_cur(centers)), grid))
 
-        mask = oracle_mask(f_cur, "oracle_baseline")
-        oracle_fractions = [mask.fraction]
-        metrics.add(phase=0, iter=0, kind="init", level_c=est.c,
-                    est_fraction=float((v_grid < est.c).sum()) / grid.n_cells,
-                    oracle_fraction=mask.fraction,
-                    sat_a=policy.psi.a, sat_b=policy.psi.b,
-                    sat_ma=policy.psi.m_a, sat_mb=policy.psi.m_b, flags="")
+        check_policy(f_cur, "oracle_baseline", dict(
+            phase=0, iter=0, kind="init", level_c=est.c,
+            est_fraction=float((v_grid < est.c).sum()) / grid.n_cells,
+            sat_a=policy.psi.a, sat_b=policy.psi.b,
+            sat_ma=policy.psi.m_a, sat_mb=policy.psi.m_b, flags=""),
+            last=cfg.phases == 0)
 
         prev_est, prev_f = est, f_cur
         level_history = []
@@ -250,6 +347,7 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
             est, v_grid, growth = estimate_roa(prev_est, v_grid, prev_f, f_cur, cfg,
                                                cfg.batch_size(phase), grid, rng)
             note_time(f"estimate_phase_{phase:02d}", t0)
+            mask = collect()
             for rec in growth:
                 metrics.add(phase=phase, iter=rec.iteration, kind="growth",
                             level_c=rec.level, est_fraction=rec.est_fraction,
@@ -274,22 +372,17 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
             f_cur = f_builder(policy)
             note_time(f"policy_phase_{phase:02d}", t0)
 
-            mask = oracle_mask(f_cur, f"oracle_phase_{phase:02d}")
-            oracle_fractions.append(mask.fraction)
-
-            metrics.add(phase=phase, iter=0, kind="policy", level_c=est.c,
-                        est_fraction=est_fraction,
-                        oracle_fraction=mask.fraction, loss=rec.loss,
-                        sat_a=policy.psi.a, sat_b=policy.psi.b,
-                        sat_ma=policy.psi.m_a, sat_mb=policy.psi.m_b,
-                        grad_norm_final=rec.diagnostics.grad_norm_final,
-                        grad_norm_psi=rec.diagnostics.grad_norm_psi,
-                        unsound_fraction=unsound,
-                        flags="gap_empty" if rec.gap_empty else "")
+            check_policy(f_cur, f"oracle_phase_{phase:02d}", dict(
+                phase=phase, iter=0, kind="policy", level_c=est.c,
+                est_fraction=est_fraction, loss=rec.loss,
+                sat_a=policy.psi.a, sat_b=policy.psi.b,
+                sat_ma=policy.psi.m_a, sat_mb=policy.psi.m_b,
+                grad_norm_final=rec.diagnostics.grad_norm_final,
+                grad_norm_psi=rec.diagnostics.grad_norm_psi,
+                unsound_fraction=unsound,
+                flags="gap_empty" if rec.gap_empty else ""),
+                last=phase == cfg.phases)
             prev_est, prev_f = est, f_cur
-            log.info("phase %d: c=%.4f est=%.4f oracle=%.4f psi=(%.3f, %.3f, %.3f, %.3f)",
-                     phase, est.c, est_fraction, mask.fraction,
-                     policy.psi.a, policy.psi.b, policy.psi.m_a, policy.psi.m_b)
 
         if cfg.phases > 1 and (abs(level_history[-1] - 1.0)
                                >= abs(level_history[0] - 1.0)):
@@ -297,6 +390,14 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
                         level_history[0], level_history[-1])
         write_report(out)
         note_time("total", t_run)
+    except BaseException:
+        # a failing phase still leaves the pending policy's masks and row
+        if pending is not None:
+            try:
+                collect()
+            except Exception as exc:
+                log.error("the pending oracle failed as well: %r", exc)
+        raise
     finally:
         timings.close()
     return RunResult(out, metrics, est, policy, oracle_fractions)

@@ -150,10 +150,11 @@ def load_mask_pgm(path) -> RoaMask:
         raise ValueError(f"malformed PGM header {parts[1]!r}, {parts[2]!r}: "
                          "expected '<width> <height>' and '255'")
     n_theta, n_omega = (int(d) for d in dims)
-    if len(parts[3]) < n_theta * n_omega:
-        raise ValueError(f"PGM payload is truncated: expected {n_theta * n_omega} "
+    if len(parts[3]) != n_theta * n_omega:
+        defect = "truncated" if len(parts[3]) < n_theta * n_omega else "too long"
+        raise ValueError(f"PGM payload is {defect}: expected {n_theta * n_omega} "
                          f"bytes for {n_theta} x {n_omega}, got {len(parts[3])}")
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=n_theta * n_omega)
+    data = np.frombuffer(parts[3], dtype=np.uint8)
     return RoaMask(data > 0, n_theta, n_omega)
 
 

@@ -1,5 +1,6 @@
 import inspect
 import logging
+import os
 import re
 from dataclasses import fields
 
@@ -161,6 +162,18 @@ class TestMetricsLog:
         assert rows[0]["kind"] == "growth"
         assert rows[0]["oracle_fraction"] is None
 
+    @pytest.mark.parametrize("extra, fields", [(",".join("1" * 4), 4),
+                                               (",".join("1" * 17), 17)],
+                             ids=["short-row", "long-row"])
+    def test_malformed_row_names_its_line(self, tmp_path, extra, fields):
+        path = tmp_path / "metrics.csv"
+        MetricsLog(path).add(phase=0, iter=0, kind="init", level_c=0.1)
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(extra + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"line 4 has {fields} fields, the header 16"):
+            read_metrics(path)
+
 
 class TestEmitHeatmap:
     def test_all_false_overlay_is_uniform(self, tmp_path):
@@ -264,6 +277,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "policy_params.csv").exists()
 
+    def test_report_on_malformed_row_exits_1(self, tmp_path, caplog):
+        path = tmp_path / "metrics.csv"
+        MetricsLog(path)
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("0,0,init,0.1\n")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert "line 3 has 4 fields" in caplog.text
+
     def test_seed_flag_overrides_config(self, tmp_path):
         from roagrow.cli import _build_parser, _load_config
 
@@ -316,3 +337,129 @@ class TestRunRedesign:
         assert (root / "masks" / "oracle_phase_01.pgm").exists()
         assert (root / "heatmaps" / "phase_01_roa.ppm").exists()
         assert (root / "fractions.csv").exists()
+
+
+# a run of a few seconds whose oracle forks: three phases, the last in process
+TINY_FORKED = dict(grid_cells=10, pretrain_steps=50, pretrain_batch=32,
+                   roa_sgd_steps=20, growth_iters=2, policy_sgd_steps=3,
+                   oracle_kmax=200, phases=3, seed=1)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _artifacts(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "timings.txt"}
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: its args hold one of two values."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+class TestOracleInChild:
+    def test_same_bytes_as_an_in_process_run(self, tmp_path, monkeypatch):
+        import roagrow.experiment as experiment
+
+        cfg = RedesignConfig(**TINY_FORKED)
+        experiment.run_redesign(cfg, out_dir=tmp_path / "forked")
+        _assert_no_child_left()
+
+        def in_process(fn, *args):
+            result = fn(*args)
+            return lambda: result
+
+        monkeypatch.setattr(experiment, "_start_in_child", in_process)
+        experiment.run_redesign(cfg, out_dir=tmp_path / "waiting")
+        forked, waiting = _artifacts(tmp_path / "forked"), _artifacts(tmp_path / "waiting")
+        assert "masks/oracle_phase_02.pgm" in forked
+        assert forked == waiting
+
+    def test_failing_phase_leaves_the_pending_policy(self, tmp_path, monkeypatch):
+        import roagrow.experiment as experiment
+
+        cfg = RedesignConfig(**TINY_FORKED)
+        full = tmp_path / "full"
+        experiment.run_redesign(cfg, out_dir=full)
+
+        real, calls = experiment.estimate_roa, []
+
+        def fail_in_phase_2(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("phase 2 estimation failed")
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "estimate_roa", fail_in_phase_2)
+        cut = tmp_path / "cut"
+        with pytest.raises(RuntimeError, match="phase 2 estimation failed"):
+            experiment.run_redesign(cfg, out_dir=cut)
+        _assert_no_child_left()
+
+        rows = (cut / "metrics.csv").read_text().splitlines()
+        assert rows == (full / "metrics.csv").read_text().splitlines()[:len(rows)]
+        assert rows[-1].startswith("1,0,policy,")
+        names = ["oracle_baseline", "oracle_phase_01"]
+        masks = sorted(p.name for p in (cut / "masks").iterdir())
+        assert masks == sorted(f"{n}.{ext}" for n in names for ext in ("csv", "pgm"))
+        for name in masks:
+            assert (cut / "masks" / name).read_bytes() == (full / "masks" / name).read_bytes()
+
+    def test_child_error_surfaces_in_parent(self, tmp_path, monkeypatch):
+        import roagrow.experiment as experiment
+
+        def boom(*args):
+            raise ValueError(f"boom in process {os.getpid()}")
+
+        monkeypatch.setattr(experiment, "true_roa", boom)
+        with pytest.raises(ValueError, match=r"boom in process \d+") as err:
+            experiment.run_redesign(RedesignConfig(**TINY_FORKED), out_dir=tmp_path)
+        assert str(os.getpid()) not in str(err.value)
+        _assert_no_child_left()
+
+    def test_exception_that_does_not_pickle_is_named(self):
+        from roagrow.experiment import _start_in_child
+
+        def raise_two_arg():
+            raise TwoArgError("first", "second")
+
+        join = _start_in_child(raise_two_arg)
+        with pytest.raises(RuntimeError, match=r"does not pickle: TwoArgError\('first'\)"):
+            join()
+        _assert_no_child_left()
+
+    def test_result_larger_than_a_pipe_buffer(self):
+        from roagrow.experiment import _start_in_child
+
+        blob = np.arange(1 << 17, dtype=np.int64)       # 1 MiB
+        assert np.array_equal(_start_in_child(lambda: blob.copy())(), blob)
+        _assert_no_child_left()
+
+    def test_child_leaves_parent_buffers_alone(self, tmp_path):
+        from roagrow.experiment import _start_in_child
+
+        path = tmp_path / "notes.txt"
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("written once\n")                  # still in the buffer
+            assert _start_in_child(lambda: 7)() == 7
+        assert path.read_text() == "written once\n"
+
+    def test_timings_note_child_seconds_and_wait(self, tmp_path, caplog):
+        from roagrow.experiment import run_redesign
+
+        with caplog.at_level(logging.INFO, logger="roagrow.experiment"):
+            run_redesign(RedesignConfig(**dict(TINY_FORKED, phases=2)), out_dir=tmp_path)
+        lines = (tmp_path / "timings.txt").read_text().splitlines()
+        assert all(re.fullmatch(r"[a-z0-9_]+ \d+\.\d{3}s", ln) for ln in lines)
+        assert [ln.split()[0] for ln in lines] == [
+            "pretrain", "estimate_phase_01", "oracle_baseline", "oracle_baseline_wait",
+            "policy_phase_01", "estimate_phase_02", "oracle_phase_01",
+            "oracle_phase_01_wait", "policy_phase_02", "oracle_phase_02", "total"]
+        phase_lines = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith("phase ")]
+        assert [m.split(":")[0] for m in phase_lines] == ["phase 1", "phase 2"]

@@ -334,7 +334,11 @@ class TestMaskSerialization:
         (b"P5\n2 2\n1\n" + bytes(4), "malformed"),
         (b"P5\n10 10\n255\n" + bytes(7),
          r"payload is truncated: expected 100 bytes .* got 7"),
-    ], ids=["no-maxval", "one-dim", "bad-dim", "bad-maxval", "short-payload"])
+        # a saved 3 x 2 mask with 10 bytes appended
+        (b"P5\n3 2\n255\n" + bytes(6) + bytes(10),
+         r"payload is too long: expected 6 bytes for 3 x 2, got 16"),
+    ], ids=["no-maxval", "one-dim", "bad-dim", "bad-maxval", "short-payload",
+            "long-payload"])
     def test_bad_header_names_the_defect(self, tmp_path, blob, defect):
         path = tmp_path / "m.pgm"
         path.write_bytes(blob)
