@@ -10,6 +10,6 @@ from .oracle import RoaMask, true_roa
 from .policy import SatParams, SatPolicy, crop_update, policy_eval, policy_grad_psi, sat
 from .roa_estimator import (LevelSetEstimate, estimate_roa, label_batch,
                             line_search_level, sample_mixture)
-from .policy_updater import SignalDiagnostics, sample_policy_batch, update_policy
+from .policy_updater import sample_policy_batch, update_policy
 
 __version__ = "0.1.0"

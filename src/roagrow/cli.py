@@ -21,7 +21,8 @@ import numpy as np
 
 from .config import ConfigError, RedesignConfig, VARIANTS, dump_config, parse_config
 from .dynamics import closed_loop
-from .experiment import _design_lqr, emit_heatmap, pretrain_net, run_redesign, write_report
+from .experiment import (_design_lqr, emit_heatmap, pretrain_net, read_metrics,
+                         run_redesign, write_report)
 from .lyapunov import save_net
 from .oracle import true_roa
 
@@ -79,11 +80,13 @@ def _load_config(args) -> RedesignConfig:
 
 
 def _cmd_run(cfg: RedesignConfig) -> int:
-    result = run_redesign(cfg)
-    final = result.oracle_fractions[-1]
-    print(f"final oracle RoA fraction: {final:.4f} "
-          f"(initial {result.oracle_fractions[0]:.4f})")
-    print(f"artifacts in {result.out_dir}")
+    out = run_redesign(cfg)
+    # the init row comes first; the last row that is not a growth row holds
+    # the final policy's fraction
+    rows = [r for r in read_metrics(out / "metrics.csv") if r["kind"] != "growth"]
+    print(f"final oracle RoA fraction: {rows[-1]['oracle_fraction']:.4f} "
+          f"(initial {rows[0]['oracle_fraction']:.4f})")
+    print(f"artifacts in {out}")
     return 0
 
 

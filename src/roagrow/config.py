@@ -162,10 +162,9 @@ class RedesignConfig:
                               inertia=self.inertia, friction=self.friction,
                               dt=self.dt)
 
-    def grid(self, cells: int | None = None) -> GridDomain:
-        n = self.grid_cells if cells is None else cells
-        return GridDomain(self.theta_min, self.theta_max,
-                          self.omega_min, self.omega_max, n, n)
+    def grid(self) -> GridDomain:
+        return GridDomain(self.theta_min, self.theta_max, self.omega_min,
+                          self.omega_max, self.grid_cells, self.grid_cells)
 
     def initial_sat_params(self) -> SatParams:
         trainable = ((True, True, False, False) if self.variant == "thresholds"

@@ -119,24 +119,15 @@ def step_jacobians(state, p: PendulumParams):
 
 
 class ClosedLoopMap:
-    """Discrete map f_pi(x) = step_euler(x, policy(x)).
-
-    Exposes the pieces the trajectory-gradient code needs: the control signal
-    and the open-loop Jacobians at each visited state.
-    """
+    """Discrete map f_pi(x) = step_euler(x, policy(x)); the trajectory-gradient
+    code reads its ``policy`` and ``params`` to differentiate each step."""
 
     def __init__(self, policy, params: PendulumParams):
         self.policy = policy
         self.params = params
 
-    def control(self, state):
-        return policy_eval(state, self.policy)
-
     def __call__(self, state):
-        return step_euler(state, self.control(state), self.params)
-
-    def open_jacobians(self, state):
-        return step_jacobians(state, self.params)
+        return step_euler(state, policy_eval(state, self.policy), self.params)
 
 
 def closed_loop(policy, params: PendulumParams) -> ClosedLoopMap:

@@ -25,7 +25,7 @@ import logging
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .roa_estimator import (LevelSetEstimate, estimate_roa, gap_ring,
                             line_search_level)
 from .policy_updater import update_policy
 
-__all__ = ["MetricsLog", "RunResult", "run_redesign", "emit_heatmap",
+__all__ = ["MetricsLog", "run_redesign", "emit_heatmap",
            "MaskOverlay", "write_report", "METRICS_COLUMNS"]
 
 log = logging.getLogger(__name__)
@@ -71,11 +71,10 @@ def _fmt(value) -> str:
 
 
 class MetricsLog:
-    """Append-only CSV writer that also keeps rows in memory."""
+    """Append-only CSV writer; :func:`read_metrics` reads the rows back."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.rows = []
         with open(self.path, "w", encoding="ascii") as fh:
             fh.write(f"# roagrow-metrics v{METRICS_VERSION}\n")
             fh.write(",".join(METRICS_COLUMNS) + "\n")
@@ -85,23 +84,22 @@ class MetricsLog:
         if unknown:
             raise ValueError(f"unknown metrics columns: {sorted(unknown)}")
         row = {col: values.get(col) for col in METRICS_COLUMNS}
-        self.rows.append(row)
         with open(self.path, "a", encoding="ascii") as fh:
             fh.write(",".join(_fmt(row[col]) for col in METRICS_COLUMNS) + "\n")
 
-    def select(self, kind: str):
-        return [r for r in self.rows if r["kind"] == kind]
-
 
 def read_metrics(path):
-    """Parse a metrics CSV back into a list of row dicts (strings kept); a
-    row whose field count differs from the header's raises a ValueError
-    naming its line."""
+    """Parse a metrics CSV back into a list of row dicts, numbers as floats
+    and ``kind`` and ``flags`` as strings.  A missing header row raises a
+    ValueError, and so does a row whose field count differs from the
+    header's or that holds a non-number, naming its line."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("# roagrow-metrics"):
         raise ValueError("not a roagrow metrics file")
+    if len(lines) < 2 or not lines[1]:
+        raise ValueError(f"{path}: the header row is missing")
     header = lines[1].split(",")
     for line_no, ln in enumerate(lines[2:], start=3):
         if not ln:
@@ -114,7 +112,11 @@ def read_metrics(path):
         for key in header:
             if key in ("kind", "flags"):
                 continue
-            row[key] = float(row[key]) if row[key] else None
+            try:
+                row[key] = float(row[key]) if row[key] else None
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}, column {key}: "
+                                 f"{row[key]!r} is not a number") from None
         rows.append(row)
     return rows
 
@@ -155,15 +157,6 @@ def emit_heatmap(domain_field, path, n_theta: int, n_omega: int):
         with open(path, "wb") as fh:
             fh.write(f"P5\n{n_theta} {n_omega}\n255\n".encode("ascii"))
             fh.write(gray.tobytes())
-
-
-@dataclass
-class RunResult:
-    out_dir: Path
-    metrics: MetricsLog
-    estimate: LevelSetEstimate | None
-    policy: object
-    oracle_fractions: list = field(default_factory=list)
 
 
 def _design_lqr(cfg: RedesignConfig, params):
@@ -246,8 +239,8 @@ def _start_in_child(fn, *args):
     return join
 
 
-def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
-    """Execute the full loop and write all artifacts.
+def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
+    """Execute the full loop, write all artifacts and return their directory.
 
     Partial artifacts survive a failing phase: the metrics CSV is flushed row
     by row, checkpoints are written as soon as they exist, and the oracle of
@@ -275,7 +268,6 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
     grid = cfg.grid()
     box = grid.safety_box(cfg.safety_box_factor)
     metrics = MetricsLog(out / "metrics.csv")
-    oracle_fractions = []
     pending = None          # (join, name, row) of the oracle running in a child
 
     def timed_oracle(f):
@@ -288,7 +280,6 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
         """Write a policy's masks and its metrics row, which waited for them."""
         save_mask_pgm(mask, out / "masks" / f"{name}.pgm")
         save_mask_csv(mask, out / "masks" / f"{name}.csv")
-        oracle_fractions.append(mask.fraction)
         metrics.add(**row, oracle_fraction=mask.fraction)
         if row["kind"] == "policy":
             log.info("phase %d: c=%.4f est=%.4f oracle=%.4f psi=(%.3f, %.3f, %.3f, %.3f)",
@@ -377,8 +368,8 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
                 est_fraction=est_fraction, loss=rec.loss,
                 sat_a=policy.psi.a, sat_b=policy.psi.b,
                 sat_ma=policy.psi.m_a, sat_mb=policy.psi.m_b,
-                grad_norm_final=rec.diagnostics.grad_norm_final,
-                grad_norm_psi=rec.diagnostics.grad_norm_psi,
+                grad_norm_final=rec.grad_norm_final,
+                grad_norm_psi=rec.grad_norm_psi,
                 unsound_fraction=unsound,
                 flags="gap_empty" if rec.gap_empty else ""),
                 last=phase == cfg.phases)
@@ -400,7 +391,7 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> RunResult:
         raise
     finally:
         timings.close()
-    return RunResult(out, metrics, est, policy, oracle_fractions)
+    return out
 
 
 def write_report(out_dir):

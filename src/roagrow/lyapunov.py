@@ -235,7 +235,7 @@ class PDLyapunovNet:
             raise ValueError("parameter vector length mismatch")
 
     def sgd_step(self, d_params: list, lr: float):
-        """In-place plain SGD update; the caller owns the single-writer lock."""
+        """In-place plain SGD update."""
         for layer, (d_g1, d_g2) in zip(self.layers, d_params):
             layer.g1 -= lr * d_g1
             layer.g2 -= lr * d_g2

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "SatParams",
     "SatPolicy",
-    "PSI_FIELDS",
     "sat",
     "sat_slope",
     "policy_eval",
@@ -22,10 +21,6 @@ __all__ = [
     "project_psi",
     "crop_update",
 ]
-
-# Canonical ordering of the shaping parameters in gradient vectors.
-PSI_FIELDS = ("a", "b", "m_a", "m_b")
-
 
 @dataclass(frozen=True)
 class SatParams:
@@ -100,7 +95,7 @@ def policy_grad_psi(state, pol: SatPolicy) -> np.ndarray:
     Zero on the closed identity band (kinks take the identity branch);
     for z > a: du/da = 1 - m_a, du/dm_a = z - a; mirrored for z < b.
     The trainable mask is *not* applied here; callers mask as needed.
-    Shape is ``(..., 4)`` in :data:`PSI_FIELDS` order.
+    Shape is ``(..., 4)`` in (a, b, m_a, m_b) order.
     """
     state = np.asarray(state, dtype=float)
     z = -(state[..., 0] * pol.k[0] + state[..., 1] * pol.k[1])
@@ -126,25 +121,21 @@ def project_psi(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def crop_update(old_psi: SatParams, proposed_psi,
+def crop_update(old_psi: SatParams, proposed,
                 crop_radius: float) -> SatParams:
     """Clamp every trainable entry to within crop_radius of its old value.
 
     Bounding the per-phase policy change keeps the induced RoA moving
     continuously.  After clamping, :func:`project_psi` makes the shape valid
-    again.  ``proposed_psi`` may be a SatParams or a raw (a, b, m_a, m_b)
-    array; the raw form admits unordered proposals straight out of a gradient
-    step.
+    again.  ``proposed`` is a raw (a, b, m_a, m_b) array, which admits
+    unordered proposals straight out of a gradient step.
     """
     if crop_radius <= 0:
         raise ValueError("crop_radius must be positive")
     old = old_psi.as_array()
-    if isinstance(proposed_psi, SatParams):
-        new = proposed_psi.as_array()
-    else:
-        new = np.asarray(proposed_psi, dtype=float)
-        if new.shape != (4,):
-            raise ValueError("proposed parameters must be (a, b, m_a, m_b)")
+    new = np.asarray(proposed, dtype=float)
+    if new.shape != (4,):
+        raise ValueError("proposed parameters must be (a, b, m_a, m_b)")
     mask = np.array(old_psi.trainable, dtype=bool)
     out = old.copy()
     out[mask] = np.clip(new[mask], old[mask] - crop_radius, old[mask] + crop_radius)

@@ -16,14 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RedesignConfig
-from .dynamics import out_of_box
+from .dynamics import out_of_box, step_jacobians
 from .grid import GridDomain
 from .policy import (SatPolicy, crop_update, policy_grad_psi, project_psi,
                      sat_slope)
 from .roa_estimator import LevelSetEstimate, draw_mixture, gap_ring
 
 __all__ = [
-    "SignalDiagnostics",
     "PolicyUpdateRecord",
     "sample_policy_batch",
     "bptt",
@@ -36,19 +35,10 @@ WEAK_SIGNAL_TOL = 1e-6
 
 
 @dataclass
-class SignalDiagnostics:
-    """The factors of the trajectory-gradient decomposition."""
-
-    grad_norm_final: float             # || dL/dx_T ||
-    per_step_jacobian_norms: np.ndarray  # entry k holds || dx_T / dx_k ||
-    grad_norm_psi: float               # || dL/dpsi ||
-    weak_signal: bool = False
-
-
-@dataclass
 class PolicyUpdateRecord:
     loss: float
-    diagnostics: SignalDiagnostics
+    grad_norm_final: float             # || dL/dx_T ||
+    grad_norm_psi: float               # || dL/dpsi ||
     gap_empty: bool
 
 
@@ -89,7 +79,7 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
     eye = np.eye(2)
     pol = clm.policy
     for k in range(steps):
-        dfdx, dfdu = clm.open_jacobians(x)
+        dfdx, dfdu = step_jacobians(x, clm.params)
         z = -(x[:, 0] * pol.k[0] + x[:, 1] * pol.k[1])
         slope = sat_slope(z, pol.psi)
         du_dx = slope[:, None] * (-pol.k)[None, :]
@@ -109,7 +99,7 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
 
 
 def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
-    """One pass over a rollout batch: ``(loss, grad, g_final, jacs)``.
+    """One pass over a rollout batch: ``(loss, grad, g_final)``.
 
     ``loss`` = sum over the batch of [1 if V(x_T) < c else lambda_u] * V(x_T),
     x_T the rollout endpoint under ``clm``; the indicator weights are
@@ -117,8 +107,7 @@ def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
     contributes lambda_u * V at its last in-box state.  ``grad`` is its exact
     reverse-accumulated gradient over trainable psi, (dL/dx_T)(dx_T/dx_k)
     (d+ x_k/dpsi) summed over k, zero outside the trainable mask.  ``g_final``
-    (dL/dx_T per sample) and the step Jacobians ``jacs`` feed
-    :func:`_diagnostics`.
+    is dL/dx_T per sample.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float)).reshape(-1, 2)
     finals, diverged, jacs, psi_push, dfdu_dot = _rollout_tape(
@@ -140,28 +129,19 @@ def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
             f"non-finite policy gradient: grad={grad}, "
             f"|dL/dx_T|={np.linalg.norm(g_final):.4g}, "
             f"diverged={int(diverged.sum())}/{len(diverged)}")
-    return loss, grad, g_final, jacs
+    return loss, grad, g_final
 
 
-def _diagnostics(grad, g_final, jacs) -> SignalDiagnostics:
-    """:class:`SignalDiagnostics` from the results of one :func:`bptt`.
+def _diagnostics(grad, g_final):
+    """``(|dL/dx_T|, |dL/dpsi|)`` from the results of one :func:`bptt`.
 
     Warns when the final-state factor is negligible: rollouts that end too
     close to the equilibrium, where the Lyapunov gradient vanishes, give the
     policy no information."""
-    n_steps = len(jacs)
-    norms = np.empty(n_steps + 1)
-    norms[n_steps] = 1.0
-    prod = np.broadcast_to(np.eye(2), (len(g_final), 2, 2)).copy()
-    for k in range(n_steps - 1, -1, -1):
-        prod = np.einsum("nij,njk->nik", prod, jacs[k])
-        norms[k] = float(np.mean(np.linalg.svd(prod, compute_uv=False)[:, 0]))
     grad_norm_final = float(np.linalg.norm(g_final))
-    weak = grad_norm_final < WEAK_SIGNAL_TOL
-    if weak:
+    if grad_norm_final < WEAK_SIGNAL_TOL:
         log.warning("vanishing learning signal: |dL/dx_T| = %.3g", grad_norm_final)
-    return SignalDiagnostics(grad_norm_final, norms, float(np.linalg.norm(grad)),
-                             weak)
+    return grad_norm_final, float(np.linalg.norm(grad))
 
 
 def update_policy(pol: SatPolicy, est: LevelSetEstimate, v_grid: np.ndarray,
@@ -180,11 +160,11 @@ def update_policy(pol: SatPolicy, est: LevelSetEstimate, v_grid: np.ndarray,
     start_psi = pol.psi
     for _ in range(cfg.policy_sgd_steps):
         clm = f_builder(pol)
-        _, grad, _, _ = bptt(clm, est, x0s, cfg.rollout_steps_p, cfg.lambda_u, box)
+        _, grad, _ = bptt(clm, est, x0s, cfg.rollout_steps_p, cfg.lambda_u, box)
         vec = project_psi(pol.psi.as_array() - cfg.policy_lr * grad)
         pol = replace(pol, psi=pol.psi.with_array(vec))
-    pol = replace(pol, psi=crop_update(start_psi, pol.psi, pol.crop_radius))
-    loss, grad, g_final, jacs = bptt(f_builder(pol), est, x0s,
-                                     cfg.rollout_steps_p, cfg.lambda_u, box)
-    return pol, PolicyUpdateRecord(loss, _diagnostics(grad, g_final, jacs),
-                                   gap_empty)
+    pol = replace(pol, psi=crop_update(start_psi, pol.psi.as_array(),
+                                       pol.crop_radius))
+    loss, grad, g_final = bptt(f_builder(pol), est, x0s,
+                               cfg.rollout_steps_p, cfg.lambda_u, box)
+    return pol, PolicyUpdateRecord(loss, *_diagnostics(grad, g_final), gap_empty)

@@ -1,8 +1,11 @@
 """Test references: independent restatements of quantities the library
 computes, and helpers that only the tests use.  Not collected by pytest."""
 
+from pathlib import Path
+
 import numpy as np
 
+from roagrow.experiment import read_metrics
 from roagrow.grid import GridDomain
 from roagrow.oracle import RoaMask
 from roagrow.roa_estimator import C_BAR, gap_ring
@@ -97,3 +100,24 @@ def reference_step(x, pol, params) -> np.ndarray:
               - params.friction * omega / params.inertia)
     return np.stack([theta + params.dt * omega, omega + params.dt * domega],
                     axis=-1)
+
+
+def jacobian_product_norms(jacs) -> np.ndarray:
+    """Entry k holds || dx_T / dx_k ||: the largest singular value of the
+    product of the step Jacobians ``jacs[k:]`` (``(T, n, 2, 2)``), averaged
+    over the batch; entry T is 1."""
+    n_steps = len(jacs)
+    norms = np.empty(n_steps + 1)
+    norms[n_steps] = 1.0
+    prod = np.broadcast_to(np.eye(2), jacs.shape[1:]).copy()
+    for k in range(n_steps - 1, -1, -1):
+        prod = np.einsum("nij,njk->nik", prod, jacs[k])
+        norms[k] = float(np.mean(np.linalg.svd(prod, compute_uv=False)[:, 0]))
+    return norms
+
+
+def rows_of(run_dir, *kinds) -> list:
+    """The rows of ``run_dir``'s metrics.csv whose kind is one of ``kinds``,
+    in file order."""
+    return [r for r in read_metrics(Path(run_dir) / "metrics.csv")
+            if r["kind"] in kinds]

@@ -19,7 +19,7 @@ from roagrow.policy_updater import bptt
 from roagrow.roa_estimator import LevelSetEstimate, sample_mixture
 
 from conftest import ACCEPT_PHASES as PHASES
-from reference import cell_index, flatten_grads, gap_growth_check
+from reference import cell_index, flatten_grads, gap_growth_check, rows_of
 
 
 def _ok(name: str, detail: str = ""):
@@ -28,10 +28,10 @@ def _ok(name: str, detail: str = ""):
 
 class TestCriterion1PositiveDefiniteness:
     def test_every_checkpoint_positive_definite(self, run_thresholds):
-        cfg, res = run_thresholds
+        cfg, out = run_thresholds
         grid = cfg.grid()
         centers = grid.centers()
-        ckpts = sorted((res.out_dir / "checkpoints").glob("net_phase_*.ckpt"))
+        ckpts = sorted((out / "checkpoints").glob("net_phase_*.ckpt"))
         assert len(ckpts) == PHASES + 1
         for path in ckpts:
             net = load_net(path)
@@ -168,17 +168,17 @@ class TestCriterion3Lemma1:
 
 class TestCriterion4LineSearchSoundness:
     def test_every_phase_estimate_decreases(self, run_thresholds):
-        cfg, res = run_thresholds
+        cfg, out = run_thresholds
         grid = cfg.grid()
         params = cfg.pendulum_params()
         centers = grid.centers()
-        rows = res.metrics.select("policy")
+        rows = rows_of(out, "policy")
         assert len(rows) == PHASES
         for row in rows:
             phase = int(row["phase"])
-            net = load_net(res.out_dir / "checkpoints" / f"net_phase_{phase:02d}.ckpt")
+            net = load_net(out / "checkpoints" / f"net_phase_{phase:02d}.ckpt")
             c = row["level_c"]
-            pol = _policy_at_phase(cfg, res, phase - 1)
+            pol = _policy_at_phase(cfg, out, phase - 1)
             f_pi = closed_loop(pol, params)
             v = net.value(centers)
             dv = net.value(f_pi(centers)) - v
@@ -188,7 +188,7 @@ class TestCriterion4LineSearchSoundness:
         _ok("criterion 4: 100% strict decrease inside every phase estimate")
 
 
-def _policy_at_phase(cfg, res, phase):
+def _policy_at_phase(cfg, out, phase):
     """Reconstruct the policy that was current when phase+1 was estimated."""
     from roagrow.experiment import _design_lqr
 
@@ -196,7 +196,7 @@ def _policy_at_phase(cfg, res, phase):
     pol = cfg.initial_policy(k)
     if phase == 0:
         return pol
-    rows = [r for r in res.metrics.select("policy") if int(r["phase"]) == phase]
+    rows = [r for r in rows_of(out, "policy") if int(r["phase"]) == phase]
     row = rows[0]
     psi = pol.psi.with_array(np.array([row["sat_a"], row["sat_b"],
                                        row["sat_ma"], row["sat_mb"]]))
@@ -267,8 +267,8 @@ class TestCriterion8Determinism:
 
 class TestCriterion9Enlargement:
     def test_oracle_staircase(self, run_thresholds):
-        _, res = run_thresholds
-        stair = res.oracle_fractions
+        _, out = run_thresholds
+        stair = [r["oracle_fraction"] for r in rows_of(out, "init", "policy")]
         assert len(stair) == PHASES + 1
         assert stair[-1] >= 1.3 * stair[0]
         for before, after in zip(stair, stair[1:]):
@@ -280,8 +280,8 @@ class TestCriterion9Enlargement:
 class TestCriterion10MonotonicityAblation:
     def test_fewer_decreasing_steps_and_no_worse_final(self, run_thresholds,
                                                        run_no_monot):
-        on = [r["est_fraction"] for r in run_thresholds[1].metrics.select("growth")]
-        off = [r["est_fraction"] for r in run_no_monot[1].metrics.select("growth")]
+        on = [r["est_fraction"] for r in rows_of(run_thresholds[1], "growth")]
+        off = [r["est_fraction"] for r in rows_of(run_no_monot[1], "growth")]
         dec_on = sum(1 for a, b in zip(on, on[1:]) if b < a - 1e-9)
         dec_off = sum(1 for a, b in zip(off, off[1:]) if b < a - 1e-9)
         assert on[-1] >= off[-1], (
@@ -296,8 +296,8 @@ class TestCriterion10MonotonicityAblation:
 
 class TestCriterion11LevelConvergence:
     def test_levels_move_toward_cbar(self, run_thresholds):
-        _, res = run_thresholds
-        growth = res.metrics.select("growth")
+        _, out = run_thresholds
+        growth = rows_of(out, "growth")
         by_phase = {}
         for r in growth:
             by_phase[int(r["phase"])] = r["level_c"]
@@ -310,8 +310,8 @@ class TestCriterion11LevelConvergence:
 
 class TestCriterion12SlopeSymmetry:
     def test_learned_slopes_almost_equal(self, run_slopes):
-        _, res = run_slopes
-        rows = res.metrics.select("policy")
+        _, out = run_slopes
+        rows = rows_of(out, "policy")
         final = rows[-1]
         assert final["sat_a"] == 0.2 and final["sat_b"] == -0.2
         assert abs(final["sat_ma"] - final["sat_mb"]) < 0.1
@@ -322,8 +322,8 @@ class TestCriterion12SlopeSymmetry:
 
 class TestCriterion13InnerEstimateSoundness:
     def test_unsound_cells_below_two_percent(self, run_thresholds):
-        _, res = run_thresholds
-        rows = res.metrics.select("policy")
+        _, out = run_thresholds
+        rows = rows_of(out, "policy")
         worst = max(r["unsound_fraction"] for r in rows)
         assert worst < 0.02
         _ok("criterion 13: inner-estimate soundness",
@@ -334,19 +334,19 @@ class TestRunInvariants:
     """Supplementary spec invariants checked on the shared acceptance run."""
 
     def test_log_completeness(self, run_thresholds):
-        cfg, res = run_thresholds
-        assert len(res.metrics.select("policy")) == PHASES
-        assert len(res.metrics.select("growth")) == PHASES * cfg.growth_iters
-        assert len(res.metrics.select("init")) == 1
+        cfg, out = run_thresholds
+        assert len(rows_of(out, "policy")) == PHASES
+        assert len(rows_of(out, "growth")) == PHASES * cfg.growth_iters
+        assert len(rows_of(out, "init")) == 1
 
     def test_soft_monotone_trend_with_default_lambda(self, run_thresholds):
         # non-decreasing up to 0.02 absolute slack in at least 80% of steps
-        _, res = run_thresholds
-        cb = [r["cbar_fraction"] for r in res.metrics.select("growth")]
+        _, out = run_thresholds
+        cb = [r["cbar_fraction"] for r in rows_of(out, "growth")]
         ok = sum(1 for a, b in zip(cb, cb[1:]) if b >= a - 0.02)
         assert ok >= 0.8 * (len(cb) - 1)
 
     def test_report_tables_written(self, run_thresholds):
-        _, res = run_thresholds
+        _, out = run_thresholds
         for name in ("fractions.csv", "levels.csv", "policy_params.csv"):
-            assert (res.out_dir / name).exists()
+            assert (out / name).exists()

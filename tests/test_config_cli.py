@@ -14,6 +14,8 @@ from roagrow.config import (ConfigError, RedesignConfig, dump_config,
 from roagrow.experiment import (MaskOverlay, MetricsLog, emit_heatmap,
                                 read_metrics, write_report)
 
+from reference import rows_of
+
 
 def _keys_of(kind: str) -> list:
     return [f.name for f in fields(RedesignConfig) if f.type == kind]
@@ -174,6 +176,21 @@ class TestMetricsLog:
                            match=rf"line 4 has {fields} fields, the header 16"):
             read_metrics(path)
 
+    def test_missing_header_row_named(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("# roagrow-metrics v1\n", encoding="ascii")
+        with pytest.raises(ValueError, match="the header row is missing"):
+            read_metrics(path)
+
+    def test_non_number_names_line_and_column(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        MetricsLog(path).add(phase=0, iter=0, kind="init", level_c=0.1)
+        text = path.read_text(encoding="ascii").replace("0.1", "abc")
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError,
+                           match=r"line 3, column level_c: 'abc' is not a number"):
+            read_metrics(path)
+
 
 class TestEmitHeatmap:
     def test_all_false_overlay_is_uniform(self, tmp_path):
@@ -285,6 +302,18 @@ class TestCli:
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert "line 3 has 4 fields" in caplog.text
 
+    @pytest.mark.parametrize("body, defect", [
+        ("", "the header row is missing"),
+        (",".join(["phase", "iter", "kind"]) + "\nx,0,init\n",
+         "line 3, column phase: 'x' is not a number")],
+        ids=["no-header", "non-number"])
+    def test_report_on_unreadable_metrics_exits_1(self, tmp_path, caplog, body,
+                                                  defect):
+        (tmp_path / "metrics.csv").write_text("# roagrow-metrics v1\n" + body,
+                                              encoding="ascii")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert defect in caplog.text
+
     def test_seed_flag_overrides_config(self, tmp_path):
         from roagrow.cli import _build_parser, _load_config
 
@@ -307,11 +336,12 @@ class TestRunRedesign:
         from roagrow.experiment import run_redesign
 
         cfg = parse_config_text(TINY_RUN + "phases = 0\n")
-        res = run_redesign(cfg, out_dir=tmp_path)
+        out = run_redesign(cfg, out_dir=tmp_path)
+        assert out == tmp_path
         assert (tmp_path / "checkpoints" / "net_phase_00.ckpt").exists()
         assert (tmp_path / "heatmaps" / "pretrain_v.pgm").exists()
-        assert res.metrics.select("policy") == []
-        assert len(res.metrics.select("init")) == 1
+        assert rows_of(out, "policy") == []
+        assert len(rows_of(out, "init")) == 1
 
     def test_one_phase_run_does_not_warn_about_levels(self, tmp_path, caplog):
         # one phase has a single level value, so there is no trend to judge
@@ -332,11 +362,33 @@ class TestRunRedesign:
         assert code == 0
         assert "final oracle RoA fraction" in out
         root = tmp_path / "o"
+        init, = rows_of(root, "init")
+        final = rows_of(root, "policy")[-1]
+        assert _printed_fractions(out) == _four_places(final, init)
         assert (root / "metrics.csv").exists()
         assert (root / "config_used.cfg").exists()
         assert (root / "masks" / "oracle_phase_01.pgm").exists()
         assert (root / "heatmaps" / "phase_01_roa.ppm").exists()
         assert (root / "fractions.csv").exists()
+
+    def test_cli_run_zero_phases_prints_the_init_fraction(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text(TINY_RUN + "phases = 0\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        init, = rows_of(tmp_path / "o", "init")
+        assert _printed_fractions(capsys.readouterr().out) == _four_places(init, init)
+
+
+def _printed_fractions(out: str) -> tuple:
+    """The ``(final, initial)`` oracle fractions that ``roagrow run`` printed."""
+    m = re.search(r"final oracle RoA fraction: (\S+) \(initial (\S+)\)", out)
+    assert m, out
+    return m.groups()
+
+
+def _four_places(*rows) -> tuple:
+    return tuple(f"{r['oracle_fraction']:.4f}" for r in rows)
 
 
 # a run of a few seconds whose oracle forks: three phases, the last in process

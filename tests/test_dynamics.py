@@ -8,7 +8,7 @@ from roagrow.dynamics import (ClosedLoopMap, LinearModel, PendulumParams,
                               linearize, out_of_box, pendulum_deriv,
                               riccati_step, rollout_batch, step_euler,
                               step_jacobians)
-from roagrow.policy import SatParams, SatPolicy
+from roagrow.policy import SatParams, SatPolicy, policy_eval
 
 from reference import reference_step
 
@@ -40,7 +40,7 @@ def rollout(f, x0, steps, box=None) -> Trajectory:
     states, controls, diverged = [x], [], False
     for _ in range(steps):
         if has_control:
-            u = float(f.control(x))
+            u = float(policy_eval(x, f.policy))
             xn = step_euler(x, u, f.params)
         else:
             xn = np.asarray(f(x), dtype=float)

@@ -154,12 +154,12 @@ class TestSatSlope:
 class TestCropUpdate:
     def test_identity(self):
         old = SatParams(a=0.2, b=-0.2)
-        assert crop_update(old, old, 0.1) == old
+        assert crop_update(old, old.as_array(), 0.1) == old
 
     def test_clamps_single_entry(self):
         old = SatParams(a=0.2, b=-0.2)
         prop = SatParams(a=0.9, b=-0.2)
-        out = crop_update(old, prop, 0.1)
+        out = crop_update(old, prop.as_array(), 0.1)
         assert out.a == pytest.approx(0.3)
         assert out.b == pytest.approx(-0.2)
 
@@ -181,7 +181,7 @@ class TestCropUpdate:
             prop = SatParams(a=pa, b=pb, m_a=rng.uniform(0, 2), m_b=rng.uniform(0, 2),
                              trainable=old.trainable)
             r = rng.uniform(0.01, 0.5)
-            out = crop_update(old, prop, r)
+            out = crop_update(old, prop.as_array(), r)
             delta = np.abs(out.as_array() - old.as_array())
             # b may additionally be projected down to a, which only shrinks it
             assert delta[0] <= r + 1e-12
@@ -193,7 +193,7 @@ class TestCropUpdate:
         old = SatParams(a=0.2, b=-0.2, m_a=0.0, m_b=0.0,
                         trainable=(False, False, True, True))
         prop = SatParams(a=0.5, b=-0.5, m_a=0.05, m_b=0.07, trainable=old.trainable)
-        out = crop_update(old, prop, 0.1)
+        out = crop_update(old, prop.as_array(), 0.1)
         assert out.a == 0.2 and out.b == -0.2
         assert out.m_a == pytest.approx(0.05)
         assert out.m_b == pytest.approx(0.07)

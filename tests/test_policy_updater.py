@@ -5,11 +5,11 @@ from dataclasses import replace
 import roagrow.policy_updater as policy_updater
 from roagrow.dynamics import ClosedLoopMap, closed_loop
 from roagrow.policy import SatParams, SatPolicy
-from roagrow.policy_updater import (_diagnostics, bptt, sample_policy_batch,
-                                    update_policy)
+from roagrow.policy_updater import (_diagnostics, _rollout_tape, bptt,
+                                    sample_policy_batch, update_policy)
 from roagrow.roa_estimator import LevelSetEstimate
 
-from reference import cell_index
+from reference import cell_index, jacobian_product_norms
 
 BIG_BOX = ((-1e9, 1e9), (-1e9, 1e9))
 
@@ -33,23 +33,31 @@ def quad_grid(grid):
 
 
 class ContractionMap(ClosedLoopMap):
-    """x' = 0.5 x, control identically zero; for closed-form checks."""
+    """x' = 0.5 x, control identically zero (K = 0); for closed-form checks.
+    Its ``params`` is the scale, which :func:`scaled_jacobians` reads."""
+
+    scale = 0.5
 
     def __init__(self):
         pol = SatPolicy(k=np.zeros(2), psi=SatParams(a=1.0, b=-1.0))
-        super().__init__(pol, params=None)
-
-    def control(self, state):
-        state = np.asarray(state, dtype=float)
-        return np.zeros(state.shape[:-1])
+        super().__init__(pol, params=self.scale)
 
     def __call__(self, state):
-        return 0.5 * np.asarray(state, dtype=float)
+        return self.scale * np.asarray(state, dtype=float)
 
-    def open_jacobians(self, state):
-        state = np.asarray(state, dtype=float)
-        a = np.broadcast_to(0.5 * np.eye(2), state.shape[:-1] + (2, 2)).copy()
-        return a, np.zeros(2)
+
+def scaled_jacobians(state, scale):
+    """The step Jacobians of x' = scale * x, whose control does not act."""
+    state = np.asarray(state, dtype=float)
+    a = np.broadcast_to(scale * np.eye(2), state.shape[:-1] + (2, 2)).copy()
+    return a, np.zeros(2)
+
+
+@pytest.fixture
+def scaled_maps(monkeypatch):
+    """Let the rollout tape differentiate :class:`ContractionMap` and its
+    kin, whose ``params`` is a scale, not a pendulum."""
+    monkeypatch.setattr(policy_updater, "step_jacobians", scaled_jacobians)
 
 
 class TestHyper:
@@ -107,18 +115,10 @@ class TestPolicyLoss:
         loss = bptt(f_initial, est, xs, 0, 10.0, BIG_BOX)[0]
         assert loss == pytest.approx(20.5)
 
-    def test_divergent_rollout_uses_clipped_state(self):
-        clm = ContractionMap()
+    def test_divergent_rollout_uses_clipped_state(self, scaled_maps):
         # expansion map via custom subclass: reuse ContractionMap but scale up
         class Expand(ContractionMap):
-            def __call__(self, state):
-                return 2.0 * np.asarray(state, dtype=float)
-
-            def open_jacobians(self, state):
-                state = np.asarray(state, dtype=float)
-                a = np.broadcast_to(2.0 * np.eye(2),
-                                    state.shape[:-1] + (2, 2)).copy()
-                return a, np.zeros(2)
+            scale = 2.0
 
         est = LevelSetEstimate(QuadV(), 1e9)   # value never exceeds the level
         box = ((-1.0, 1.0), (-1.0, 1.0))
@@ -196,30 +196,29 @@ def _raw_params(vec, trainable):
 
 
 class TestSignalDiagnostics:
-    def test_contraction_jacobian_norms(self):
+    def test_contraction_jacobian_norms(self, scaled_maps):
         clm = ContractionMap()
-        est = LevelSetEstimate(QuadV(), 1.0)
         x0 = np.array([[0.8, 0.0]])
-        diag = _diagnostics(*bptt(clm, est, x0, 6, 10.0, BIG_BOX)[1:])
+        norms = jacobian_product_norms(_rollout_tape(clm, x0, 6, BIG_BOX)[2])
         for k in range(7):
-            assert diag.per_step_jacobian_norms[k] == pytest.approx(0.5 ** (6 - k))
+            assert norms[k] == pytest.approx(0.5 ** (6 - k))
 
     def test_grad_norm_psi_matches_bptt(self, f_initial, pretrained):
         est = LevelSetEstimate(pretrained[0], 1.0)
         x0 = np.random.default_rng(9).uniform(-0.5, 0.5, (6, 2))
-        diag = _diagnostics(*bptt(f_initial, est, x0, 10, 10.0, BIG_BOX)[1:])
+        _, grad_norm_psi = _diagnostics(*bptt(f_initial, est, x0, 10, 10.0,
+                                              BIG_BOX)[1:])
         g = bptt(f_initial, est, x0, 10, 10.0, BIG_BOX)[1]
-        assert abs(diag.grad_norm_psi - np.linalg.norm(g)) < 1e-12
+        assert abs(grad_norm_psi - np.linalg.norm(g)) < 1e-12
 
     def test_origin_warns_weak_signal(self, f_initial, pretrained, caplog):
         import logging
 
         est = LevelSetEstimate(pretrained[0], 1.0)
         with caplog.at_level(logging.WARNING, logger="roagrow.policy_updater"):
-            diag = _diagnostics(*bptt(f_initial, est, np.zeros((1, 2)), 10,
-                                      10.0, BIG_BOX)[1:])
-        assert diag.weak_signal
-        assert diag.grad_norm_final < 1e-6
+            grad_norm_final, _ = _diagnostics(*bptt(f_initial, est, np.zeros((1, 2)),
+                                                    10, 10.0, BIG_BOX)[1:])
+        assert grad_norm_final < 1e-6
         assert any("vanishing" in r.message for r in caplog.records)
 
 
@@ -275,9 +274,5 @@ class TestUpdatePolicy:
         args = (fb(new), est, x0s, short.rollout_steps_p, short.lambda_u,
                 grid.safety_box(short.safety_box_factor))
         loss, *tape = bptt(*args)
-        diag = _diagnostics(*tape)
         assert rec.loss == loss
-        assert rec.diagnostics.grad_norm_final == diag.grad_norm_final
-        assert rec.diagnostics.grad_norm_psi == diag.grad_norm_psi
-        assert np.array_equal(rec.diagnostics.per_step_jacobian_norms,
-                              diag.per_step_jacobian_norms)
+        assert (rec.grad_norm_final, rec.grad_norm_psi) == _diagnostics(*tape)
