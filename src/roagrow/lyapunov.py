@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PDLayer",
     "PDLyapunovNet",
     "Forward",
     "TapeGradient",
@@ -43,40 +42,11 @@ class PretrainDivergence(RuntimeError):
     """Pretraining MSE blew up instead of decreasing."""
 
 
-@dataclass
-class PDLayer:
-    """Free parameters of one layer; the effective weight is derived.
-
-    ``g1`` is (q, d_in) and ``g2`` is (d_out - d_in, d_in); d_out >= d_in so
-    widths never contract and the stacked weight keeps a trivial nullspace.
-    """
-
-    g1: np.ndarray
-    g2: np.ndarray
-    eps: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.g1.ndim != 2 or self.g2.ndim != 2:
-            raise ValueError("G1 and G2 must be matrices")
-        if self.g1.shape[1] != self.g2.shape[1]:
-            raise ValueError("G1 and G2 must share the input dimension")
-
-    @property
-    def d_in(self) -> int:
-        return self.g1.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.d_in + self.g2.shape[0]
-
-
-def build_weight(layer: PDLayer) -> np.ndarray:
+def build_weight(g1: np.ndarray, g2: np.ndarray, eps: float) -> np.ndarray:
     """Effective weight: [G1'G1 + eps*I ; G2], shape (d_out, d_in)."""
-    top = layer.g1.T @ layer.g1
-    top.flat[::layer.d_in + 1] += layer.eps
-    return np.vstack([top, layer.g2]) if len(layer.g2) else top
+    top = g1.T @ g1
+    top.flat[::g1.shape[1] + 1] += eps
+    return np.vstack([top, g2]) if len(g2) else top
 
 
 @dataclass
@@ -94,14 +64,15 @@ class TapeGradient:
     """Result of one reverse pass.
 
     ``d_input`` holds the per-sample gradient of the weighted output sum with
-    respect to the network input; ``d_params`` holds (dG1, dG2) per layer.
-    ``d_params_extra`` holds (dG1, dG2) per layer for the optional extra
-    weight column, or None when no such column was given.
+    respect to the network input; ``d_params`` holds its gradient with respect
+    to the free blocks, one vector laid out like :attr:`PDLyapunovNet.params`.
+    ``d_params_extra`` holds the same for the optional extra weight column,
+    or None when no such column was given.
     """
 
     d_input: np.ndarray
-    d_params: list
-    d_params_extra: list | None = None
+    d_params: np.ndarray
+    d_params_extra: np.ndarray | None = None
 
 
 class PDLyapunovNet:
@@ -109,39 +80,59 @@ class PDLyapunovNet:
 
     V(x) is the squared norm of the final hidden activation.  Widths default
     to 2 -> 64 -> 64 -> 64 with q = d_in for every G1 block.
+
+    ``params`` is the one parameter vector, laid out like the checkpoint
+    payload: per layer, G1 (d_in, d_in) then G2 (d_out - d_in, d_in), both
+    row-major.  It changes only in place, so ``layers``, the (G1, G2) views
+    into it, stay valid.  Widths never contract, which keeps every stacked
+    weight's nullspace trivial.
     """
 
-    def __init__(self, layers: list):
-        self.layers = layers
-        dims = [layers[0].d_in] + [l.d_out for l in layers]
-        for prev, layer in zip(dims, layers):
-            if layer.d_in != prev:
-                raise ValueError("layer input dims must chain")
+    def __init__(self, params: np.ndarray, widths, eps: float):
+        self.widths = tuple(int(w) for w in widths)
+        self.eps = float(eps)
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be a positive finite float")
+        if any(d_out < d_in for d_in, d_out in zip(self.widths, self.widths[1:])):
+            raise ValueError("widths must be non-contracting")
+        self.params = np.asarray(params, dtype=float)
+        n = sum(d_in * d_out for d_in, d_out in zip(self.widths, self.widths[1:]))
+        if self.params.shape != (n,):
+            raise ValueError(f"expected {n} parameters, got shape {self.params.shape}")
+        self.layers = self.blocks(self.params)
+
+    def blocks(self, vec: np.ndarray) -> list:
+        """(G1, G2) views, one pair per layer, into ``vec``, a vector laid out
+        like ``params`` (the parameters themselves, or a gradient)."""
+        out, pos = [], 0
+        for d_in, d_out in zip(self.widths, self.widths[1:]):
+            g1 = vec[pos:pos + d_in * d_in].reshape(d_in, d_in)
+            pos += d_in * d_in
+            g2 = vec[pos:pos + (d_out - d_in) * d_in].reshape(d_out - d_in, d_in)
+            pos += (d_out - d_in) * d_in
+            out.append((g1, g2))
+        return out
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, widths=(2, 64, 64, 64),
                    eps: float = 0.01) -> "PDLyapunovNet":
         """Uniform init in [-s, s] with s = 1/sqrt(fan_in) for both blocks."""
-        layers = []
+        blocks = []
         for d_in, d_out in zip(widths[:-1], widths[1:]):
-            if d_out < d_in:
-                raise ValueError("widths must be non-contracting")
             s = 1.0 / np.sqrt(d_in)
-            g1 = rng.uniform(-s, s, size=(d_in, d_in))
-            g2 = rng.uniform(-s, s, size=(d_out - d_in, d_in))
-            layers.append(PDLayer(g1, g2, eps))
-        return cls(layers)
+            blocks += [rng.uniform(-s, s, size=d_in * d_in),
+                       rng.uniform(-s, s, size=(d_out - d_in) * d_in)]
+        return cls(np.concatenate(blocks), widths, eps)
 
     def copy(self) -> "PDLyapunovNet":
-        return PDLyapunovNet([PDLayer(l.g1.copy(), l.g2.copy(), l.eps)
-                              for l in self.layers])
+        return PDLyapunovNet(self.params.copy(), self.widths, self.eps)
 
     # -- forward -----------------------------------------------------------
 
     def forward(self, x) -> Forward:
         """One pass over a batch (n, 2), kept for a reverse pass over it."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        ws = [build_weight(l) for l in self.layers]
+        ws = [build_weight(g1, g2, self.eps) for g1, g2 in self.layers]
         acts = [x]
         for w in ws:
             z = acts[-1] @ w.T
@@ -152,7 +143,7 @@ class PDLyapunovNet:
         """V(x) = ||v(x)||^2 for a batch (n, 2); returns (n,).  Keeps no
         activations: blocks of ``VALUE_BLOCK`` rows or more, or the whole batch."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        ws = [build_weight(l) for l in self.layers]
+        ws = [build_weight(g1, g2, self.eps) for g1, g2 in self.layers]
         v = []
         for h in np.array_split(x, max(1, len(x) // VALUE_BLOCK)):
             for w in ws:
@@ -206,39 +197,24 @@ class PDLyapunovNet:
             d_input=delta, d_params=self._free_block_grads(d_weights),
             d_params_extra=self._free_block_grads(dx_weights) if m else None)
 
-    def _free_block_grads(self, d_weights: list) -> list:
-        """Map gradients w.r.t. the stacked weights onto (dG1, dG2)."""
-        return [(layer.g1 @ (dw[:layer.d_in] + dw[:layer.d_in].T), dw[layer.d_in:])
-                for layer, dw in zip(self.layers, d_weights)]
+    def _free_block_grads(self, d_weights: list) -> np.ndarray:
+        """Map gradients w.r.t. the stacked weights onto one vector laid out
+        like ``params``."""
+        grad = np.empty_like(self.params)
+        for (g1, _), (d_g1, d_g2), dw in zip(self.layers, self.blocks(grad), d_weights):
+            d_in = len(g1)
+            np.matmul(g1, dw[:d_in] + dw[:d_in].T, out=d_g1)
+            d_g2[...] = dw[d_in:]
+        return grad
 
     def grad_x(self, x) -> np.ndarray:
         """Per-sample gradient of V w.r.t. the input, shape (n, 2)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.backward(x, np.ones(len(x))).d_input
 
-    # -- parameter vector utilities -----------------------------------------
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([l.g1.ravel(), l.g2.ravel()])
-                               for l in self.layers])
-
-    def set_flat_params(self, vec: np.ndarray):
-        pos = 0
-        for layer in self.layers:
-            n1 = layer.g1.size
-            layer.g1 = vec[pos:pos + n1].reshape(layer.g1.shape).copy()
-            pos += n1
-            n2 = layer.g2.size
-            layer.g2 = vec[pos:pos + n2].reshape(layer.g2.shape).copy()
-            pos += n2
-        if pos != len(vec):
-            raise ValueError("parameter vector length mismatch")
-
-    def sgd_step(self, d_params: list, lr: float):
-        """In-place plain SGD update."""
-        for layer, (d_g1, d_g2) in zip(self.layers, d_params):
-            layer.g1 -= lr * d_g1
-            layer.g2 -= lr * d_g2
+    def sgd_step(self, grad: np.ndarray, lr: float):
+        """In-place plain SGD update of ``params``."""
+        self.params -= lr * grad
 
 
 def quadratic_target(x: np.ndarray, coeff: float = 0.1) -> np.ndarray:
@@ -294,8 +270,8 @@ def pretrain_quadratic(net: PDLyapunovNet, grid_points: np.ndarray,
 # -- checkpoint format -------------------------------------------------------
 #
 # ASCII header, one field per line, terminated by a blank line, followed by
-# the raw little-endian float64 payload: for each layer, G1 then G2 in
-# row-major order.
+# the raw little-endian float64 payload, ``PDLyapunovNet.params``: for each
+# layer, G1 then G2 in row-major order.
 #
 #   ROAGROW-LYAPNET 1
 #   eps <float>
@@ -306,12 +282,11 @@ def pretrain_quadratic(net: PDLyapunovNet, grid_points: np.ndarray,
 
 
 def save_net(net: PDLyapunovNet, path):
-    widths = [net.layers[0].d_in] + [l.d_out for l in net.layers]
     header = io.StringIO()
     header.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")
-    header.write(f"eps {net.layers[0].eps!r}\n")
-    header.write("widths " + " ".join(str(w) for w in widths) + "\n\n")
-    payload = net.flat_params().astype("<f8").tobytes()
+    header.write(f"eps {net.eps!r}\n")
+    header.write("widths " + " ".join(str(w) for w in net.widths) + "\n\n")
+    payload = net.params.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("ascii"))
         fh.write(payload)
@@ -334,17 +309,16 @@ def load_net(path) -> PDLyapunovNet:
         widths = [int(w) for w in widths]
         if (key_eps, key_widths) != ("eps", "widths") or len(widths) < 2:
             raise ValueError
-        net = PDLyapunovNet([PDLayer(np.zeros((d_in, d_in)), np.zeros((d_out - d_in, d_in)),
-                                     float(eps))
-                             for d_in, d_out in zip(widths[:-1], widths[1:])])
+        net = PDLyapunovNet(np.zeros(sum(a * b for a, b in zip(widths, widths[1:]))),
+                            widths, float(eps))
     except ValueError:
         raise ValueError(f"malformed checkpoint header {lines[1:3]}: expected "
-                         "'eps <positive float>' and 'widths <d0> <d1> ...' with "
-                         "non-decreasing widths") from None
-    n_bytes = 8 * len(net.flat_params())
+                         "'eps <positive finite float>' and 'widths <d0> <d1> ...' "
+                         "with non-decreasing widths") from None
+    n_bytes = 8 * len(net.params)
     if len(payload) != n_bytes:
         defect = "truncated" if len(payload) < n_bytes else "too long"
         raise ValueError(f"checkpoint payload is {defect}: expected {n_bytes} "
                          f"bytes for widths {widths}, got {len(payload)}")
-    net.set_flat_params(np.frombuffer(payload, dtype="<f8").astype(float))
+    net.params[:] = np.frombuffer(payload, dtype="<f8")
     return net

@@ -167,19 +167,15 @@ def _roa_loss_grad(net, x, weights, prev_vals, cfg: RedesignConfig):
     if cfg.lambda_monot and n_in:
         w_monot = 2.0 * cfg.lambda_monot * (v_in - prev_vals) / n_batch
     tape = net.backward(x, weights, extra_weights=w_monot, fwd=fwd)
-    d_params = tape.d_params
+    grad = tape.d_params
+    # block by block: a flat dot product differs in its low bits
     norm = np.sqrt(sum(float((g1 ** 2).sum() + (g2 ** 2).sum())
-                       for g1, g2 in d_params))
+                       for g1, g2 in net.blocks(grad)))
     if norm > cfg.roa_grad_clip:
-        scale = cfg.roa_grad_clip / norm
-        for g1, g2 in d_params:
-            g1 *= scale
-            g2 *= scale
+        grad *= cfg.roa_grad_clip / norm
     if tape.d_params_extra is not None:
-        for (g1, g2), (e1, e2) in zip(d_params, tape.d_params_extra):
-            g1 += e1
-            g2 += e2
-    return loss, d_params
+        grad += tape.d_params_extra
+    return loss, grad
 
 
 def line_search_level(v: np.ndarray, v_next: np.ndarray,
@@ -240,12 +236,12 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
         x, weights = _loss_batch(x_in, x_out, xin_next, cfg)
         loss = 0.0
         for _ in range(steps_per_iter):
-            loss, d_params = _roa_loss_grad(net, x, weights, prev_vals, cfg)
+            loss, grad = _roa_loss_grad(net, x, weights, prev_vals, cfg)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite RoA loss at growth iteration {m}: "
                     f"|in|={len(x_in)} |out|={len(x_out)} c={c:.4g}")
-            net.sgd_step(d_params, cfg.roa_lr)
+            net.sgd_step(grad, cfg.roa_lr)
         v = net.value(centers)
         c = line_search_level(v, net.value(next_centers), grid)
         frac = float((v < c).sum()) / grid.n_cells

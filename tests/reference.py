@@ -45,12 +45,6 @@ def cell_index(grid: GridDomain, points) -> np.ndarray:
     return j * grid.n_theta + i
 
 
-def flatten_grads(d_params: list) -> np.ndarray:
-    """One vector from per-layer (dG1, dG2) pairs, in ``flat_params`` order."""
-    return np.concatenate([np.concatenate([dg1.ravel(), dg2.ravel()])
-                           for dg1, dg2 in d_params])
-
-
 def sym_diff_measure(a: RoaMask, b: RoaMask) -> float:
     """Fraction of cells on which the two masks disagree."""
     if (a.n_theta, a.n_omega) != (b.n_theta, b.n_omega):

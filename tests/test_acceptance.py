@@ -19,7 +19,7 @@ from roagrow.policy_updater import bptt
 from roagrow.roa_estimator import LevelSetEstimate, sample_mixture
 
 from conftest import ACCEPT_PHASES as PHASES
-from reference import cell_index, flatten_grads, gap_growth_check, rows_of
+from reference import cell_index, gap_growth_check, rows_of
 
 
 def _ok(name: str, detail: str = ""):
@@ -59,17 +59,17 @@ class TestCriterion2GradientOracles:
         net = pretrained[0].copy()
         rng = np.random.default_rng(22)
         x = rng.uniform(-1.0, 1.0, (4, 2))
-        flat = flatten_grads(net.backward(x, np.ones(4)).d_params)
-        theta = net.flat_params()
+        flat = net.backward(x, np.ones(4)).d_params
+        theta = net.params.copy()
         h = 1e-5
         for _ in range(20):
             d = rng.normal(size=theta.shape)
             d /= np.linalg.norm(d)
-            net.set_flat_params(theta + h * d)
+            net.params[:] = theta + h * d
             up = float(net.value(x).sum())
-            net.set_flat_params(theta - h * d)
+            net.params[:] = theta - h * d
             dn = float(net.value(x).sum())
-            net.set_flat_params(theta)
+            net.params[:] = theta
             fd = (up - dn) / (2 * h)
             assert abs(flat @ d - fd) / max(1.0, abs(fd)) < 1e-4
         _ok("criterion 2b: grad_params matches finite differences")

@@ -8,17 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import roagrow.lyapunov as lyapunov
 from roagrow.grid import GridDomain
-from roagrow.lyapunov import (PDLayer, PDLyapunovNet, PretrainDivergence,
-                              build_weight, load_net, pretrain_quadratic,
-                              quadratic_target, save_net)
-
-from reference import flatten_grads
+from roagrow.lyapunov import (PDLyapunovNet, PretrainDivergence, build_weight,
+                              load_net, pretrain_quadratic, quadratic_target,
+                              save_net)
 
 
 class TestBuildWeight:
     def test_zero_g1_gives_eps_identity(self):
-        layer = PDLayer(np.zeros((1, 2)), np.zeros((0, 2)), eps=0.01)
-        w = build_weight(layer)
+        w = build_weight(np.zeros((1, 2)), np.zeros((0, 2)), 0.01)
         assert np.allclose(w, 0.01 * np.eye(2))
         assert np.linalg.matrix_rank(w) == 2
 
@@ -26,24 +23,30 @@ class TestBuildWeight:
         rng = np.random.default_rng(0)
         for _ in range(10):
             g1 = rng.normal(size=(3, 4))
-            layer = PDLayer(g1, rng.normal(size=(2, 4)), eps=0.05)
-            top = build_weight(layer)[:4, :]
+            top = build_weight(g1, rng.normal(size=(2, 4)), 0.05)[:4, :]
             eigs = np.linalg.eigvalsh(top)
             assert eigs.min() >= 0.05 - 1e-12
 
     def test_trivial_nullspace(self):
         rng = np.random.default_rng(1)
-        layer = PDLayer(rng.normal(size=(2, 2)), rng.normal(size=(62, 2)), eps=0.01)
-        w = build_weight(layer)
+        w = build_weight(rng.normal(size=(2, 2)), rng.normal(size=(62, 2)), 0.01)
         # least-squares residual of Wx = 0 for random x is x itself only at 0
         for x in rng.normal(size=(20, 2)):
             assert np.linalg.norm(w @ x) > 1e-8 * np.linalg.norm(x)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PDLayer(np.zeros((2, 2)), np.zeros((3, 4)), eps=0.01)
-        with pytest.raises(ValueError):
-            PDLayer(np.zeros((2, 2)), np.zeros((0, 2)), eps=0.0)
+            build_weight(np.zeros((2, 2)), np.zeros((3, 4)), 0.01)
+        # a 2-4 net has 2*2 + 2*2 parameters
+        with pytest.raises(ValueError, match="expected 8 parameters"):
+            PDLyapunovNet(np.zeros(9), (2, 4), 0.01)
+        with pytest.raises(ValueError, match="non-contracting"):
+            PDLyapunovNet(np.zeros(8), (4, 2), 0.01)
+        for eps in (0.0, -0.01, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive finite"):
+                PDLyapunovNet(np.zeros(8), (2, 4), eps)
+            with pytest.raises(ValueError, match="positive finite"):
+                PDLyapunovNet.initialize(np.random.default_rng(0), (2, 4), eps)
 
 
 class TestForward:
@@ -64,8 +67,13 @@ class TestForward:
 
     def test_copy_is_independent(self, small_net):
         clone = small_net.copy()
-        clone.layers[0].g1 += 1.0
-        assert not np.allclose(clone.layers[0].g1, small_net.layers[0].g1)
+        assert not np.shares_memory(clone.params, small_net.params)
+        clone.layers[0][0][...] += 1.0
+        assert not np.allclose(clone.layers[0][0], small_net.layers[0][0])
+        # an SGD step writes into the vector that the layer views see
+        g2 = clone.layers[-1][1].copy()
+        clone.sgd_step(np.ones_like(clone.params), 0.5)
+        assert np.array_equal(clone.layers[-1][1], g2 - 0.5)
 
 
 # Under OpenBLAS, V of a row in a batch of 18 rows or fewer can differ in its
@@ -134,17 +142,17 @@ class TestGradients:
         net = small_net.copy()
         x = rng.uniform(-1, 1, (3, 2))
         tape = net.backward(x, np.ones(3))
-        flat_grad = flatten_grads(tape.d_params)
-        theta = net.flat_params()
+        flat_grad = tape.d_params
+        theta = net.params.copy()
         h = 1e-5
         for _ in range(20):
             d = rng.normal(size=theta.shape)
             d /= np.linalg.norm(d)
-            net.set_flat_params(theta + h * d)
+            net.params[:] = theta + h * d
             up = float(net.value(x).sum())
-            net.set_flat_params(theta - h * d)
+            net.params[:] = theta - h * d
             dn = float(net.value(x).sum())
-            net.set_flat_params(theta)
+            net.params[:] = theta
             fd = (up - dn) / (2 * h)
             assert abs(flat_grad @ d - fd) / max(1.0, abs(fd)) < 1e-4
 
@@ -154,19 +162,17 @@ class TestGradients:
         t1 = small_net.backward(x, np.ones(4))
         t2 = small_net.backward(x, 2.0 * np.ones(4))
         assert np.allclose(2.0 * t1.d_input, t2.d_input)
-        for (a1, b1), (a2, b2) in zip(t1.d_params, t2.d_params):
-            assert np.allclose(2.0 * a1, a2)
-            assert np.allclose(2.0 * b1, b2)
+        assert np.allclose(2.0 * t1.d_params, t2.d_params)
 
 
 class TestPretraining:
     def test_zero_steps_is_identity(self, grid):
         rng = np.random.default_rng(6)
         net = PDLyapunovNet.initialize(rng)
-        before = net.flat_params().copy()
+        before = net.params.copy()
         points = grid.centers()
         pretrain_quadratic(net, points, quadratic_target(points), rng, steps=0)
-        assert np.array_equal(net.flat_params(), before)
+        assert np.array_equal(net.params, before)
 
     def test_mse_drops_tenfold(self, pretrained, grid):
         net, stats, _, _ = pretrained
@@ -202,7 +208,7 @@ class TestPretraining:
             points = grid.centers()
             pretrain_quadratic(net, points, quadratic_target(points), rng,
                                steps=200)
-            outs.append(net.flat_params())
+            outs.append(net.params)
         assert np.array_equal(outs[0], outs[1])
 
     def test_one_forward_per_step(self, small_net, monkeypatch):
@@ -210,7 +216,7 @@ class TestPretraining:
         built = []
         build = lyapunov.build_weight
         monkeypatch.setattr(lyapunov, "build_weight",
-                            lambda layer: built.append(layer) or build(layer))
+                            lambda *blocks: built.append(blocks) or build(*blocks))
         counts = []
         for steps in (1, 2):
             built.clear()
@@ -250,8 +256,11 @@ class TestCheckpoint:
         path = tmp_path / "net.ckpt"
         save_net(small_net, path)
         loaded = load_net(path)
-        assert np.array_equal(loaded.flat_params(), small_net.flat_params())
-        assert loaded.layers[0].eps == small_net.layers[0].eps
+        # the payload is the parameter vector's bytes, after the blank line
+        payload = path.read_bytes().partition(b"\n\n")[2]
+        assert payload == small_net.params.astype("<f8").tobytes()
+        assert np.array_equal(loaded.params, small_net.params)
+        assert loaded.eps == small_net.eps
         x = np.array([[0.3, -0.8]])
         assert np.array_equal(loaded.value(x), small_net.value(x))
 
@@ -262,18 +271,18 @@ class TestCheckpoint:
     def test_round_trip_bit_exact_property(self, steps, eps, data):
         widths = np.cumsum([2] + steps)
         net = PDLyapunovNet.initialize(np.random.default_rng(0), widths, eps)
-        n = len(net.flat_params())
+        n = len(net.params)
         values = data.draw(st.lists(
             st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)),
             min_size=n, max_size=n))
-        net.set_flat_params(np.array(values))
+        net.params[:] = values
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "net.ckpt"
             save_net(net, path)
             loaded = load_net(path)
-        assert [l.d_out for l in loaded.layers] == list(widths[1:])
-        assert np.float64(loaded.layers[0].eps).tobytes() == np.float64(eps).tobytes()
-        assert loaded.flat_params().tobytes() == net.flat_params().tobytes()
+        assert list(loaded.widths) == list(widths)
+        assert np.float64(loaded.eps).tobytes() == np.float64(eps).tobytes()
+        assert loaded.params.tobytes() == net.params.tobytes()
 
     @pytest.mark.parametrize("blob, defect", [
         (b"", "not a version-1"),
@@ -283,13 +292,15 @@ class TestCheckpoint:
         (b"ROAGROW-LYAPNET 1\nwidths 2 4\neps 0.01\n\n", "malformed"),
         (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 2\n\n", "malformed"),
         (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 4 2\n\n", "malformed"),
+        (b"ROAGROW-LYAPNET 1\neps nan\nwidths 2 4\n\n", "malformed"),
+        (b"ROAGROW-LYAPNET 1\neps inf\nwidths 2 4\n\n", "malformed"),
         (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 2 4\n\n" + bytes(8),
          r"payload is truncated: expected 64 bytes .* got 8"),
         # a 2-8-8-8 payload under a 2-8-8 header
         (b"ROAGROW-LYAPNET 1\neps 0.01\nwidths 2 8 8\n\n" + bytes(1152),
          r"payload is too long: expected 640 bytes .* got 1152"),
     ], ids=["empty", "no-eps", "no-widths", "bad-eps", "swapped", "one-width",
-            "contracting", "short-payload", "long-payload"])
+            "contracting", "nan-eps", "inf-eps", "short-payload", "long-payload"])
     def test_bad_header_names_the_defect(self, tmp_path, blob, defect):
         path = tmp_path / "net.ckpt"
         path.write_bytes(blob)

@@ -184,9 +184,9 @@ class TestBpttGrad:
     def test_est_parameters_receive_no_gradient(self, f_initial, pretrained):
         net = pretrained[0]
         est = LevelSetEstimate(net, 1.0)
-        before = net.flat_params().copy()
+        before = net.params.copy()
         bptt(f_initial, est, np.array([[0.5, -0.4]]), 10, 10.0, BIG_BOX)
-        assert np.array_equal(net.flat_params(), before)
+        assert np.array_equal(net.params, before)
 
 
 def _raw_params(vec, trainable):

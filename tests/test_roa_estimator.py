@@ -8,7 +8,7 @@ from roagrow.roa_estimator import (DegenerateLevelError, LevelSetEstimate,
                                    estimate_roa, label_batch, line_search_level,
                                    sample_mixture, _loss_batch, _roa_loss_grad)
 
-from reference import cell_index, flatten_grads, roa_loss
+from reference import cell_index, roa_loss
 
 
 class QuadV:
@@ -182,16 +182,16 @@ class TestRoaLoss:
         prev = LevelSetEstimate(pretrained[0], 0.05)
         xin_next = f_initial(x_in)
         prev_vals = prev.net.value(f_initial(x_in))
-        loss, d_params = _roa_loss_grad(
+        loss, grad = _roa_loss_grad(
             net, *_loss_batch(x_in, x_out, xin_next, raw), prev_vals, raw)
-        flat = flatten_grads(d_params) * (len(x_in) + len(x_out))
-        theta = net.flat_params()
+        flat = grad * (len(x_in) + len(x_out))
+        theta = net.params.copy()
         h = 1e-6
 
         def loss_at(vec):
-            net.set_flat_params(vec)
+            net.params[:] = vec
             out = roa_loss(net, x_in, x_out, f_initial, prev, f_initial, raw)
-            net.set_flat_params(theta)
+            net.params[:] = theta
             return out
 
         # the logged loss (the metrics.csv column) is the reference formula
@@ -217,9 +217,8 @@ class TestRoaLoss:
 
         def flat_grad(**kw):
             c = replace(cfg, **kw)
-            _, d_params = _roa_loss_grad(
-                net, *_loss_batch(x_in, x_out, xin_next, c), prev_vals, c)
-            return flatten_grads(d_params)
+            return _roa_loss_grad(
+                net, *_loss_batch(x_in, x_out, xin_next, c), prev_vals, c)[1]
 
         # the linear part alone is well above the cap, so the cap does cut
         raw_linear = flat_grad(lambda_monot=0.0, roa_grad_clip=1e9)
@@ -228,9 +227,30 @@ class TestRoaLoss:
         assert np.linalg.norm(capped) <= cfg.roa_grad_clip * (1 + 1e-12)
 
         n_batch = len(x_in) + len(x_out)
-        expect = flatten_grads(
-            net.backward(x_in, 2.0 * lam * (v_in - prev_vals) / n_batch).d_params)
+        expect = net.backward(x_in, 2.0 * lam * (v_in - prev_vals) / n_batch).d_params
         np.testing.assert_allclose(flat_grad() - capped, expect, rtol=1e-10)
+
+    def test_cap_sums_block_by_block(self, small_net, f_initial, cfg):
+        # the capped gradient's bytes, and with them every artifact's, depend on
+        # the order in which the norm sums the squares
+        net = small_net.copy()
+        rng = np.random.default_rng(3)
+        x_in = rng.uniform(-0.5, 0.5, (3, 2))
+        x_out = rng.uniform(-1, 1, (4, 2))
+        x, weights = _loss_batch(x_in, x_out, f_initial(x_in), cfg)
+        prev_vals = net.value(x_in) + np.array([0.3, -0.2, 0.5])
+        n_batch = len(x_in) + len(x_out)
+        w_monot = 2.0 * cfg.lambda_monot * (net.forward(x).v[:3] - prev_vals) / n_batch
+        tape = net.backward(x, weights, extra_weights=w_monot)
+        raw = tape.d_params
+        norm = np.sqrt(sum(float((g1 ** 2).sum() + (g2 ** 2).sum())
+                           for g1, g2 in net.blocks(raw)))
+        assert norm > cfg.roa_grad_clip
+        # precondition: a flat dot product would scale differently
+        assert cfg.roa_grad_clip / np.sqrt(raw @ raw) != cfg.roa_grad_clip / norm
+        _, grad = _roa_loss_grad(net, x, weights, prev_vals, cfg)
+        expect = raw * (cfg.roa_grad_clip / norm) + tape.d_params_extra
+        assert np.array_equal(grad, expect)
 
     def test_one_forward_per_step(self, small_net, f_initial, cfg, monkeypatch):
         net = small_net.copy()
@@ -242,7 +262,7 @@ class TestRoaLoss:
         built = []
         build = lyapunov.build_weight
         monkeypatch.setattr(lyapunov, "build_weight",
-                            lambda layer: built.append(layer) or build(layer))
+                            lambda *blocks: built.append(blocks) or build(*blocks))
         _roa_loss_grad(net, *_loss_batch(x_in, x_out, xin_next, cfg), prev_vals, cfg)
         assert len(built) == len(net.layers)
 
@@ -308,7 +328,7 @@ class TestEstimateRoa:
             est, _, recs = estimate_roa(prev, pretrained_level[0], f_initial,
                                         f_initial, short, short.batch_size(1),
                                         grid, np.random.default_rng(3))
-            outs.append((est.net.flat_params(), est.c,
+            outs.append((est.net.params, est.c,
                          [r.est_fraction for r in recs]))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1]
