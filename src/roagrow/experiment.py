@@ -321,8 +321,8 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
         v_grid = net.value(centers)
         emit_heatmap(v_grid, out / "heatmaps" / "pretrain_v.pgm",
                      grid.n_theta, grid.n_omega)
-        est = LevelSetEstimate(net, line_search_level(
-            v_grid, net.value(f_cur(centers)), grid))
+        est = LevelSetEstimate(net, line_search_level(net, v_grid, f_cur(centers),
+                                                      grid))
 
         check_policy(f_cur, "oracle_baseline", dict(
             phase=0, iter=0, kind="init", level_c=est.c,

@@ -8,6 +8,8 @@ and V(x) > 0 elsewhere by construction rather than by training.
 The reverse-mode pass here is special-purpose: it differentiates exactly the
 compositions this project trains (weighted sums of V values over batches),
 returning gradients with respect to the network input and to the free blocks.
+It runs in a :class:`Workspace`, whose arrays a training loop reuses from
+step to step.
 
 V of a point is not bit-stable across batch sizes under OpenBLAS: in a batch
 of 18 rows or fewer its low bits can differ from those in a larger batch, so
@@ -23,7 +25,7 @@ import numpy as np
 
 __all__ = [
     "PDLyapunovNet",
-    "Forward",
+    "Workspace",
     "TapeGradient",
     "PretrainDivergence",
     "build_weight",
@@ -42,21 +44,17 @@ class PretrainDivergence(RuntimeError):
     """Pretraining MSE blew up instead of decreasing."""
 
 
-def build_weight(g1: np.ndarray, g2: np.ndarray, eps: float) -> np.ndarray:
-    """Effective weight: [G1'G1 + eps*I ; G2], shape (d_out, d_in)."""
-    top = g1.T @ g1
-    top.flat[::g1.shape[1] + 1] += eps
-    return np.vstack([top, g2]) if len(g2) else top
-
-
-@dataclass
-class Forward:
-    """The weights a forward pass built, its activations [x, h1, ..., hL]
-    and V = ||hL||^2 per row."""
-
-    ws: list
-    acts: list
-    v: np.ndarray
+def build_weight(g1: np.ndarray, g2: np.ndarray, eps: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Effective weight: [G1'G1 + eps*I ; G2], shape (d_out, d_in), written
+    into ``out`` when it is given."""
+    d_in = g1.shape[1]
+    if out is None:
+        out = np.empty((d_in + len(g2), d_in))
+    top = np.matmul(g1.T, g1, out=out[:d_in])
+    top.flat[::d_in + 1] += eps
+    out[d_in:] = g2
+    return out
 
 
 @dataclass
@@ -89,17 +87,21 @@ class PDLyapunovNet:
     """
 
     def __init__(self, params: np.ndarray, widths, eps: float):
-        self.widths = tuple(int(w) for w in widths)
-        self.eps = float(eps)
-        if not 0 < self.eps < np.inf:
-            raise ValueError("eps must be a positive finite float")
-        if any(d_out < d_in for d_in, d_out in zip(self.widths, self.widths[1:])):
-            raise ValueError("widths must be non-contracting")
+        self.widths, self.eps = self._checked(widths, eps)
         self.params = np.asarray(params, dtype=float)
         n = sum(d_in * d_out for d_in, d_out in zip(self.widths, self.widths[1:]))
         if self.params.shape != (n,):
             raise ValueError(f"expected {n} parameters, got shape {self.params.shape}")
         self.layers = self.blocks(self.params)
+
+    @staticmethod
+    def _checked(widths, eps) -> tuple:
+        widths, eps = tuple(int(w) for w in widths), float(eps)
+        if not 0 < eps < np.inf:
+            raise ValueError("eps must be a positive finite float")
+        if any(d_out < d_in for d_in, d_out in zip(widths, widths[1:])):
+            raise ValueError(f"widths must be non-contracting, got {widths}")
+        return widths, eps
 
     def blocks(self, vec: np.ndarray) -> list:
         """(G1, G2) views, one pair per layer, into ``vec``, a vector laid out
@@ -116,7 +118,9 @@ class PDLyapunovNet:
     @classmethod
     def initialize(cls, rng: np.random.Generator, widths=(2, 64, 64, 64),
                    eps: float = 0.01) -> "PDLyapunovNet":
-        """Uniform init in [-s, s] with s = 1/sqrt(fan_in) for both blocks."""
+        """Uniform init in [-s, s] with s = 1/sqrt(fan_in) for both blocks.
+        Invalid widths or eps raise before ``rng`` draws anything."""
+        widths, eps = cls._checked(widths, eps)
         blocks = []
         for d_in, d_out in zip(widths[:-1], widths[1:]):
             s = 1.0 / np.sqrt(d_in)
@@ -126,18 +130,6 @@ class PDLyapunovNet:
 
     def copy(self) -> "PDLyapunovNet":
         return PDLyapunovNet(self.params.copy(), self.widths, self.eps)
-
-    # -- forward -----------------------------------------------------------
-
-    def forward(self, x) -> Forward:
-        """One pass over a batch (n, 2), kept for a reverse pass over it."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ws = [build_weight(g1, g2, self.eps) for g1, g2 in self.layers]
-        acts = [x]
-        for w in ws:
-            z = acts[-1] @ w.T
-            acts.append(np.tanh(z, out=z))
-        return Forward(ws, acts, np.einsum("ij,ij->i", acts[-1], acts[-1]))
 
     def value(self, x) -> np.ndarray:
         """V(x) = ||v(x)||^2 for a batch (n, 2); returns (n,).  Keeps no
@@ -152,69 +144,164 @@ class PDLyapunovNet:
             v.append(np.einsum("ij,ij->i", h, h))
         return np.concatenate(v)
 
-    # -- reverse mode ------------------------------------------------------
-
     def backward(self, x: np.ndarray, out_weights: np.ndarray,
-                 extra_weights: np.ndarray | None = None,
-                 fwd: Forward | None = None) -> TapeGradient:
-        """Reverse pass for S = sum_i out_weights[i] * V(x[i]).
+                 extra_weights: np.ndarray | None = None) -> TapeGradient:
+        """Reverse pass for S = sum_i out_weights[i] * V(x[i]), in a fresh
+        :class:`Workspace` whose arrays the result keeps.
 
         Returns per-sample input gradients (row i is the gradient of
-        ``out_weights[i] * V(x[i])``) and parameter gradients of S.
-
-        ``fwd``, this net's :meth:`forward` of ``x`` taken by a caller that
-        needed V for the weights, replaces the pass's own forward.
-
-        ``extra_weights`` (m,) is a second weight column for the first m rows
-        of ``x``.  The parameter gradient of sum_i extra_weights[i] * V(x[i])
-        is carried through the same sweep, on the cached activations, and
-        returned as ``d_params_extra``, so a caller can treat the two sums
-        differently (clip one, not the other) without a second pass.
+        ``out_weights[i] * V(x[i])``) and parameter gradients of S, and those
+        of sum_i extra_weights[i] * V(x[i]) over the first m rows when the
+        extra column (m,) is given.
         """
-        if fwd is None:
-            fwd = self.forward(x)
-        ws, acts = fwd.ws, fwd.acts
-        out_weights = np.asarray(out_weights, dtype=float)
-        delta = 2.0 * out_weights[:, None] * acts[-1]      # dS/dh_L
-        d_weights = [None] * len(ws)
-        m = 0 if extra_weights is None else len(extra_weights)
-        if m:
-            extra = np.asarray(extra_weights, dtype=float)
-            delta_x = 2.0 * extra[:, None] * acts[-1][:m]
-            dx_weights = [None] * len(ws)
-        for ell in range(len(ws) - 1, -1, -1):
-            dz = np.square(acts[ell + 1])                  # through tanh:
-            np.subtract(1.0, dz, out=dz)                   # the slope, then dz
-            if m:
-                dz_x = delta_x * dz[:m]
-                # np.dot: matmul takes a slow loop for a single row (m = 1)
-                dx_weights[ell] = np.dot(dz_x.T, acts[ell][:m])
-                delta_x = dz_x @ ws[ell] if ell else None
-            dz *= delta
-            d_weights[ell] = dz.T @ acts[ell]
-            delta = dz @ ws[ell]
-        return TapeGradient(
-            d_input=delta, d_params=self._free_block_grads(d_weights),
-            d_params_extra=self._free_block_grads(dx_weights) if m else None)
+        work = Workspace(self)
+        work.forward(x)
+        work.backward(out_weights, extra_weights, d_input=True)
+        return TapeGradient(work.delta[0], work.grad,
+                            work.grad_extra if work.m else None)
 
-    def _free_block_grads(self, d_weights: list) -> np.ndarray:
-        """Map gradients w.r.t. the stacked weights onto one vector laid out
-        like ``params``."""
-        grad = np.empty_like(self.params)
-        for (g1, _), (d_g1, d_g2), dw in zip(self.layers, self.blocks(grad), d_weights):
-            d_in = len(g1)
-            np.matmul(g1, dw[:d_in] + dw[:d_in].T, out=d_g1)
-            d_g2[...] = dw[d_in:]
-        return grad
-
-    def grad_x(self, x) -> np.ndarray:
-        """Per-sample gradient of V w.r.t. the input, shape (n, 2)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.backward(x, np.ones(len(x))).d_input
+    def grad_x(self, x) -> tuple:
+        """``(V, dV/dx)`` per sample, shapes (n,) and (n, 2), from one
+        forward pass; no parameter gradient is formed."""
+        work = Workspace(self)
+        v = work.forward(x)
+        work.backward(np.ones(len(v)), params=False, d_input=True)
+        return v, work.delta[0]
 
     def sgd_step(self, grad: np.ndarray, lr: float):
         """In-place plain SGD update of ``params``."""
         self.params -= lr * grad
+
+
+class Workspace:
+    """The arrays of a forward and a reverse pass of ``net``: the weights that
+    :func:`build_weight` builds, the activations, the backpropagated deltas,
+    the weight gradients and the flat gradient and its squares.  A pass over
+    a batch with as many rows as the last one reuses them; another row count
+    reallocates the row-sized ones.  Reuse is invisible: every pass gives the
+    bits that a fresh workspace gives.
+
+    One SGD step is :meth:`forward`, :meth:`backward`, then :meth:`clip` when
+    the gradient is capped.  Results live in the workspace's own arrays and
+    the next pass overwrites them; :meth:`backward` overwrites the hidden
+    activations with their tanh slopes, so it follows each forward once.
+    """
+
+    def __init__(self, net: PDLyapunovNet):
+        self.net = net
+        shapes = list(zip(net.widths, net.widths[1:]))
+        self.ws = [np.empty((d_out, d_in)) for d_in, d_out in shapes]
+        self.dw = [np.empty((d_out, d_in)) for d_in, d_out in shapes]
+        self.dw_x = [np.empty((d_out, d_in)) for d_in, d_out in shapes]
+        self.sym = [np.empty((d_in, d_in)) for d_in, _ in shapes]
+        self.grad = np.empty_like(net.params)
+        self.grad_extra = np.empty_like(net.params)
+        # (G1, G2) views of the flat vectors
+        self.grad_blocks = net.blocks(self.grad)
+        self.extra_blocks = net.blocks(self.grad_extra)
+        # each non-empty block of grad, in layout order, beside the array
+        # that receives its squares
+        self.squares = [(g, s) for pair, s_pair in zip(
+                            self.grad_blocks, net.blocks(np.empty_like(net.params)))
+                        for g, s in zip(pair, s_pair) if g.size]
+        self.n = self.m = -1
+
+    def _size(self, n: int):
+        if n != self.n:
+            self.n = n
+            self.acts = [None] + [np.empty((n, d)) for d in self.net.widths[1:]]
+            self.delta = [np.empty((n, d)) for d in self.net.widths]
+            self.v = np.empty(n)
+
+    def _size_extra(self, m: int):
+        if m != self.m:
+            self.m = m
+            self.dz_x = [np.empty((m, d)) for d in self.net.widths[1:]]
+            self.delta_x = [np.empty((m, d)) for d in self.net.widths]
+
+    def release(self):
+        """Free the row-sized arrays, so that they are not held beside a
+        grid pass; the next :meth:`forward` allocates them again."""
+        self.n = self.m = -1
+        self.acts = self.delta = self.v = self.dz_x = self.delta_x = None
+
+    def forward(self, x) -> np.ndarray:
+        """V of each row of the batch ``x`` (n, 2), kept with the activations
+        for :meth:`backward`."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._size(len(x))
+        self.acts[0] = h = x
+        for (g1, g2), w in zip(self.net.layers, self.ws):
+            build_weight(g1, g2, self.net.eps, w)
+        for w, h_next in zip(self.ws, self.acts[1:]):
+            h = np.matmul(h, w.T, out=h_next)
+            np.tanh(h, out=h)
+        return np.einsum("ij,ij->i", h, h, out=self.v)
+
+    def backward(self, out_weights, extra_weights=None, params: bool = True,
+                 d_input: bool = False):
+        """Reverse pass of the last :meth:`forward` for
+        S = sum_i out_weights[i] * V(x[i]).
+
+        With ``params``, ``grad`` holds the gradient of S laid out like the
+        net's ``params``.  With ``d_input``, ``delta[0]`` holds the per-row
+        gradient of S w.r.t. the input.  ``extra_weights`` (m,) is a second
+        weight column for the first m rows; the gradient of its sum goes to
+        ``grad_extra``, from the same sweep over the cached activations, so a
+        caller can treat the two sums differently (clip one, not the other).
+        """
+        acts, ws, n_layers = self.acts, self.ws, len(self.ws)
+        out_weights = np.asarray(out_weights, dtype=float)
+        delta = np.multiply(2.0 * out_weights[:, None], acts[-1],
+                            out=self.delta[-1])            # dS/dh_L
+        m = 0 if extra_weights is None else len(extra_weights)
+        self._size_extra(m)
+        if m:
+            extra = np.asarray(extra_weights, dtype=float)
+            delta_x = np.multiply(2.0 * extra[:, None], acts[-1][:m],
+                                  out=self.delta_x[-1])
+        for ell in range(n_layers - 1, -1, -1):
+            # through tanh: the slope, in place of the activation that
+            # no later layer reads, then dz
+            dz = np.square(acts[ell + 1], out=acts[ell + 1])
+            np.subtract(1.0, dz, out=dz)
+            if m:
+                dz_x = np.multiply(delta_x, dz[:m], out=self.dz_x[ell])
+                # np.dot: matmul takes a slow loop for a single row (m = 1)
+                np.dot(dz_x.T, acts[ell][:m], out=self.dw_x[ell])
+                if ell:
+                    delta_x = np.matmul(dz_x, ws[ell], out=self.delta_x[ell])
+            dz *= delta
+            if params:
+                np.matmul(dz.T, acts[ell], out=self.dw[ell])
+            if ell or d_input:
+                delta = np.matmul(dz, ws[ell], out=self.delta[ell])
+        if params:
+            self._free_block_grads(self.dw, self.grad_blocks)
+        if m:
+            self._free_block_grads(self.dw_x, self.extra_blocks)
+
+    def _free_block_grads(self, d_weights: list, blocks: list):
+        """Map gradients w.r.t. the stacked weights onto ``blocks``, the
+        (G1, G2) views of a flat vector laid out like ``params``."""
+        for (g1, _), (d_g1, d_g2), dw, sym in zip(
+                self.net.layers, blocks, d_weights, self.sym):
+            d_in = len(g1)
+            np.add(dw[:d_in], dw[:d_in].T, out=sym)
+            np.matmul(g1, sym, out=d_g1)
+            d_g2[...] = dw[d_in:]
+
+    def clip(self, max_norm: float) -> np.ndarray:
+        """``grad`` scaled to a norm of at most ``max_norm``, then the extra
+        column's gradient added uncapped; returns ``grad``."""
+        grad = self.grad
+        # block by block: a flat dot product differs in its low bits
+        norm = np.sqrt(sum(np.square(g, out=s).sum() for g, s in self.squares))
+        if norm > max_norm:
+            grad *= max_norm / norm
+        if self.m:
+            grad += self.grad_extra
+        return grad
 
 
 def quadratic_target(x: np.ndarray, coeff: float = 0.1) -> np.ndarray:
@@ -246,15 +333,16 @@ def pretrain_quadratic(net: PDLyapunovNet, grid_points: np.ndarray,
 
     initial = mse = grid_mse()
     n = len(grid_points)
+    work = Workspace(net)
     for step in range(steps):
         idx = rng.integers(0, n, size=min(batch, n))
         xb = grid_points[idx]
-        fwd = net.forward(xb)
-        err = fwd.v - target_all[idx]
+        err = work.forward(xb) - target_all[idx]
         # d/dtheta mean(err^2) via weights 2*err/m on each sample's V
-        tape = net.backward(xb, 2.0 * err / len(xb), fwd=fwd)
-        net.sgd_step(tape.d_params, lr)
+        work.backward(2.0 * err / len(xb))
+        net.sgd_step(work.grad, lr)
         if (step + 1) % MSE_CHECK_STEPS == 0:
+            work.release()
             mse = grid_mse()
             if not np.isfinite(mse) or mse > 10.0 * initial:
                 raise PretrainDivergence(

@@ -16,6 +16,8 @@ __all__ = [
     "SatPolicy",
     "sat",
     "sat_slope",
+    "sat_grad_psi",
+    "policy_input",
     "policy_eval",
     "policy_grad_psi",
     "project_psi",
@@ -81,26 +83,17 @@ def sat_slope(z, psi: SatParams):
     return np.where(z > psi.a, psi.m_a, np.where(z < psi.b, psi.m_b, 1.0))
 
 
-def policy_eval(state, pol: SatPolicy):
-    """Control signal sat(-K x); scalar for a single state, (n,) for a batch."""
-    state = np.asarray(state, dtype=float)
-    z = state[..., 0] * pol.k[0]
-    z += state[..., 1] * pol.k[1]
-    return sat(-z, pol.psi)
-
-
-def policy_grad_psi(state, pol: SatPolicy) -> np.ndarray:
-    """Exact piecewise derivative of the control w.r.t. (a, b, m_a, m_b).
+def sat_grad_psi(z, psi: SatParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact piecewise derivative of sat(z) w.r.t. (a, b, m_a, m_b).
 
     Zero on the closed identity band (kinks take the identity branch);
-    for z > a: du/da = 1 - m_a, du/dm_a = z - a; mirrored for z < b.
+    for z > a: d/da = 1 - m_a, d/dm_a = z - a; mirrored for z < b.
     The trainable mask is *not* applied here; callers mask as needed.
-    Shape is ``(..., 4)`` in (a, b, m_a, m_b) order.
+    Shape is ``(..., 4)`` in (a, b, m_a, m_b) order, written into ``out``
+    when it is given.
     """
-    state = np.asarray(state, dtype=float)
-    z = -(state[..., 0] * pol.k[0] + state[..., 1] * pol.k[1])
-    psi = pol.psi
-    grad = np.zeros(z.shape + (4,), dtype=float)
+    z = np.asarray(z, dtype=float)
+    grad = np.empty(z.shape + (4,), dtype=float) if out is None else out
     hi = z > psi.a
     lo = z < psi.b
     grad[..., 0] = np.where(hi, 1.0 - psi.m_a, 0.0)
@@ -108,6 +101,26 @@ def policy_grad_psi(state, pol: SatPolicy) -> np.ndarray:
     grad[..., 1] = np.where(lo, 1.0 - psi.m_b, 0.0)
     grad[..., 3] = np.where(lo, z - psi.b, 0.0)
     return grad
+
+
+def policy_input(state, pol: SatPolicy):
+    """The saturation's input z = -K x; scalar for a single state, (n,) for
+    a batch."""
+    state = np.asarray(state, dtype=float)
+    z = state[..., 0] * pol.k[0]
+    z += state[..., 1] * pol.k[1]
+    return -z
+
+
+def policy_eval(state, pol: SatPolicy):
+    """Control signal sat(-K x); scalar for a single state, (n,) for a batch."""
+    return sat(policy_input(state, pol), pol.psi)
+
+
+def policy_grad_psi(state, pol: SatPolicy) -> np.ndarray:
+    """Exact piecewise derivative of the control w.r.t. (a, b, m_a, m_b):
+    :func:`sat_grad_psi` at the state's saturation input."""
+    return sat_grad_psi(policy_input(state, pol), pol.psi)
 
 
 def project_psi(values: np.ndarray) -> np.ndarray:

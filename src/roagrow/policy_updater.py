@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RedesignConfig
-from .dynamics import out_of_box, step_jacobians
+from .dynamics import out_of_box, step_euler, step_jacobians
 from .grid import GridDomain
-from .policy import (SatPolicy, crop_update, policy_grad_psi, project_psi,
-                     sat_slope)
+from .policy import (SatPolicy, crop_update, policy_input, project_psi, sat,
+                     sat_grad_psi, sat_slope)
 from .roa_estimator import LevelSetEstimate, draw_mixture, gap_ring
 
 __all__ = [
@@ -66,9 +66,12 @@ def sample_policy_batch(v_grid: np.ndarray, c: float, cfg: RedesignConfig,
 def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
     """Forward pass storing everything the reverse pass needs.
 
-    Diverged rows freeze at their last in-box state; their remaining step
-    Jacobians become the identity and their control sensitivities vanish, so
-    the reverse products truncate there automatically.
+    Each step forms the saturation input z = -K x once; the step Jacobian,
+    du/dpsi and the next state, which has the bits of ``clm(x)``, all come
+    from it, and the first two go straight into the tape.  Diverged rows
+    freeze at their last in-box state; their remaining step Jacobians become
+    the identity and their control sensitivities vanish, so the reverse
+    products truncate there automatically.
     """
     n = len(x0s)
     x = np.array(x0s, dtype=float)
@@ -77,24 +80,25 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
     psi_push = np.empty((steps, n, 4))  # (dfdu . g) uses this via du/dpsi
     dfdu_dot = np.empty((steps, n, 2))
     eye = np.eye(2)
-    pol = clm.policy
+    pol, psi = clm.policy, clm.policy.psi
     for k in range(steps):
         dfdx, dfdu = step_jacobians(x, clm.params)
-        z = -(x[:, 0] * pol.k[0] + x[:, 1] * pol.k[1])
-        slope = sat_slope(z, pol.psi)
-        du_dx = slope[:, None] * (-pol.k)[None, :]
-        jac = dfdx + dfdu[None, :, None] * du_dx[:, None, :]
-        du_dpsi = policy_grad_psi(x, pol)
-        xn = clm(x)
+        z = policy_input(x, pol)
+        du_dx = sat_slope(z, psi)[:, None] * (-pol.k)[None, :]
+        jac = np.multiply(dfdu[None, :, None], du_dx[:, None, :], out=jacs[k])
+        jac += dfdx
+        du_dpsi = sat_grad_psi(z, psi, out=psi_push[k])
+        xn = step_euler(x, sat(z, psi), clm.params)
         out = out_of_box(xn, box)
         frozen = ~alive | out
-        jac[frozen] = eye
-        du_dpsi[frozen] = 0.0
-        x[~frozen] = xn[~frozen]
-        alive &= ~out
-        jacs[k] = jac
-        psi_push[k] = du_dpsi
-        dfdu_dot[k] = np.where(frozen[:, None], 0.0, dfdu[None, :])
+        dfdu_dot[k] = dfdu
+        if frozen.any():
+            jac[frozen] = eye
+            du_dpsi[frozen] = 0.0
+            dfdu_dot[k][frozen] = 0.0
+            xn[frozen] = x[frozen]
+            alive &= ~out
+        x = xn
     return x, ~alive, jacs, psi_push, dfdu_dot
 
 
@@ -112,11 +116,11 @@ def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float)).reshape(-1, 2)
     finals, diverged, jacs, psi_push, dfdu_dot = _rollout_tape(
         clm, x0s, steps, box)
-    v_final = est.net.value(finals)
+    v_final, dv_final = est.net.grad_x(finals)
     weights = np.where(v_final < est.c, 1.0, lambda_u)
     weights[diverged] = lambda_u
     loss = float(np.sum(weights * v_final))
-    g_final = weights[:, None] * est.net.grad_x(finals)   # dL/dx_T per sample
+    g_final = weights[:, None] * dv_final                 # dL/dx_T per sample
     grad = np.zeros(4)
     g = g_final.copy()
     for k in range(steps - 1, -1, -1):

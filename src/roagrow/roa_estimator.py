@@ -4,7 +4,9 @@ One call of :func:`estimate_roa` runs the full growth loop for the current
 policy: sample initial states from a gap ring around the running estimate,
 label them by a short rollout, take SGD steps on the four-term training loss,
 then line-search the level value so the decrease condition holds on the whole
-estimated set.
+estimated set.  The line search evaluates V at the images of the cells in V
+order and stops at the first block that holds a violation, so it rarely
+needs V at more than one block of the grid's images.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .config import RedesignConfig
 from .dynamics import rollout_batch
 from .grid import GridDomain
-from .lyapunov import PDLyapunovNet
+from .lyapunov import VALUE_BLOCK, PDLyapunovNet, Workspace
 
 __all__ = [
     "LevelSetEstimate",
@@ -133,10 +135,10 @@ def _loss_batch(x_in, x_out, xin_next, cfg: RedesignConfig):
             weights / max(1, n_in + n_out))
 
 
-def _roa_loss_grad(net, x, weights, prev_vals, cfg: RedesignConfig):
-    """The four-term training objective and its gradient w.r.t. the net's free
-    blocks, from one forward and one reverse pass over the rows ``x`` that
-    :func:`_loss_batch` stacks as [x_in; x_out; xin_next]:
+def _roa_loss_grad(work: Workspace, x, weights, prev_vals, cfg: RedesignConfig):
+    """The four-term training objective and its gradient w.r.t. the free
+    blocks of ``work``'s net, from one forward and one reverse pass over the
+    rows ``x`` that :func:`_loss_batch` stacks as [x_in; x_out; xin_next]:
 
     classifier terms: sum_in (V - c_bar) - sum_out (V - c_bar)
     decrease term:    lambda_roa * sum_in (V(f_pi(x)) - V(x))
@@ -154,47 +156,58 @@ def _roa_loss_grad(net, x, weights, prev_vals, cfg: RedesignConfig):
     bounded below, and is added after the cap: capped with the linear
     terms it would be scaled to about 1e-10 per step and have no effect.
     Its gradient comes from a second weight column of the same reverse pass.
+
+    The gradient is ``work``'s own array, which the next pass overwrites.
     """
     n_in = len(prev_vals)
     n_out = len(x) - 2 * n_in
-    fwd = net.forward(x)
-    v_in, v_out, v_next = fwd.v[:n_in], fwd.v[n_in:n_in + n_out], fwd.v[n_in + n_out:]
-    loss = float(np.sum(v_in - C_BAR) - np.sum(v_out - C_BAR)
-                 + cfg.lambda_roa * np.sum(v_next - v_in)
-                 + cfg.lambda_monot * np.sum((v_in - prev_vals) ** 2))
-    n_batch = max(1, n_in + n_out)
+    v = work.forward(x)
+    v_in, v_out, v_next = v[:n_in], v[n_in:n_in + n_out], v[n_in + n_out:]
+    gap = v_in - prev_vals
+    loss = float((v_in - C_BAR).sum() - (v_out - C_BAR).sum()
+                 + cfg.lambda_roa * (v_next - v_in).sum()
+                 + cfg.lambda_monot * (gap ** 2).sum())
     w_monot = None
     if cfg.lambda_monot and n_in:
-        w_monot = 2.0 * cfg.lambda_monot * (v_in - prev_vals) / n_batch
-    tape = net.backward(x, weights, extra_weights=w_monot, fwd=fwd)
-    grad = tape.d_params
-    # block by block: a flat dot product differs in its low bits
-    norm = np.sqrt(sum(float((g1 ** 2).sum() + (g2 ** 2).sum())
-                       for g1, g2 in net.blocks(grad)))
-    if norm > cfg.roa_grad_clip:
-        grad *= cfg.roa_grad_clip / norm
-    if tape.d_params_extra is not None:
-        grad += tape.d_params_extra
-    return loss, grad
+        w_monot = 2.0 * cfg.lambda_monot * gap / max(1, n_in + n_out)
+    work.backward(weights, w_monot)
+    return loss, work.clip(cfg.roa_grad_clip)
 
 
-def line_search_level(v: np.ndarray, v_next: np.ndarray,
+def line_search_level(net: PDLyapunovNet, v: np.ndarray, images: np.ndarray,
                       grid: GridDomain) -> float:
     """Largest grid V-value c such that S_c stays off the domain boundary and
     every cell of S_c except the nearest-to-origin one strictly decreases.
 
-    ``v`` and ``v_next`` hold V at the cell centres and at their images under
-    the closed loop.  Falls back to the smallest admissible grid value when no
-    level works, which leaves an estimate with empty interior.
+    ``v`` holds V at the cell centres and ``images`` the centres' images
+    under the closed loop.  The level is capped by the first violating cell;
+    sublevel sets are strict, so that cell itself stays outside.  The lowest
+    boundary cell bounds it, so V at the images is needed only for the
+    cells below that cell: they are evaluated in V order, in blocks of
+    ``VALUE_BLOCK`` rows, up to the first block that holds a violation.  The
+    result is the float the rule gives on V at every image, bit for bit:
+    OpenBLAS may change V's low bits only in batches of 18 rows or fewer, and
+    a grid that one block covers is evaluated whole, in cell order.  When
+    even the lowest cell but the origin's violates, that cell's value is the
+    level, which leaves an estimate with empty interior.
     """
     if float(v.max() - v.min()) < 1e-12:
         raise DegenerateLevelError("V is constant on the grid")
-    violating = (v_next - v >= 0) | grid.boundary_mask()
-    violating[grid.origin_index()] = False
-    bad = v[violating]
-    # the level is capped by the first violating cell; sublevel sets are
-    # strict, so that cell itself stays outside
-    return float(bad.min()) if bad.size else float(v.max())
+    origin = grid.origin_index()
+    edge = grid.boundary_mask()
+    edge[origin] = False
+    level = float(v[edge].min())
+    below = v < level
+    below[origin] = False
+    # the cells below the cap in V order, then the rest, which pad a block
+    order = np.argsort(np.where(below, v, np.inf), kind="stable")
+    rows = min(VALUE_BLOCK, len(v))
+    for start in range(0, int(below.sum()), rows):
+        cells = np.sort(order[min(start, len(v) - rows):][:rows])
+        violating = cells[(net.value(images[cells]) - v[cells] >= 0) & below[cells]]
+        if violating.size:
+            return float(v[violating].min())
+    return level
 
 
 def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
@@ -207,9 +220,12 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
     ``prev_v`` holds the previous net's V at the cell centres.  Each of the
     ``cfg.growth_iters`` iterations samples ``batch_size`` states (the
     phase's ``cfg.batch_size(phase)``), takes an equal share of
-    ``cfg.roa_sgd_steps``, at least one step, and evaluates the net on the
-    grid twice, at the centres and at their images under ``f_pi``; the values
-    at the centres also serve the next iteration's sampling.  The returned
+    ``cfg.roa_sgd_steps``, at least one step, evaluates the net on the grid
+    once, at the centres, and line-searches the level on a prefix of the
+    centres' images under ``f_pi``; the values at the centres also serve the
+    next iteration's sampling.  The steps run in one
+    :class:`~roagrow.lyapunov.Workspace`, sized by each iteration's batch and
+    released before each grid pass.  The returned
     estimate is the iterate whose line-searched sublevel set covers the most
     grid cells, so a degraded late iteration cannot erase a good inner
     estimate found earlier in the phase; ``v_grid`` holds its V at the cell
@@ -217,6 +233,7 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
     """
     box = grid.safety_box(cfg.safety_box_factor)
     net = prev_est.net.copy()
+    work = Workspace(net)
     c, v = prev_est.c, prev_v
     steps_per_iter = max(1, cfg.roa_sgd_steps // cfg.growth_iters)
     centers = grid.centers()
@@ -236,14 +253,15 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
         x, weights = _loss_batch(x_in, x_out, xin_next, cfg)
         loss = 0.0
         for _ in range(steps_per_iter):
-            loss, grad = _roa_loss_grad(net, x, weights, prev_vals, cfg)
+            loss, grad = _roa_loss_grad(work, x, weights, prev_vals, cfg)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite RoA loss at growth iteration {m}: "
                     f"|in|={len(x_in)} |out|={len(x_out)} c={c:.4g}")
             net.sgd_step(grad, cfg.roa_lr)
+        work.release()
         v = net.value(centers)
-        c = line_search_level(v, net.value(next_centers), grid)
+        c = line_search_level(net, v, next_centers, grid)
         frac = float((v < c).sum()) / grid.n_cells
         cbar_frac = float((v < C_BAR).sum()) / grid.n_cells
         records.append(GrowthRecord(m, c, frac, cbar_frac, loss, gap_empty))

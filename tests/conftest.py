@@ -69,7 +69,7 @@ def pretrained_level(pretrained, grid, f_initial):
 
     centers = grid.centers()
     v = pretrained[0].value(centers)
-    return v, line_search_level(v, pretrained[0].value(f_initial(centers)), grid)
+    return v, line_search_level(pretrained[0], v, f_initial(centers), grid)
 
 
 # -- end-to-end runs shared by the acceptance suite and trend tests ----------

@@ -7,8 +7,9 @@ import numpy as np
 
 from roagrow.experiment import read_metrics
 from roagrow.grid import GridDomain
+from roagrow.lyapunov import TapeGradient
 from roagrow.oracle import RoaMask
-from roagrow.roa_estimator import C_BAR, gap_ring
+from roagrow.roa_estimator import C_BAR, DegenerateLevelError, gap_ring
 
 
 def roa_loss(net, x_in, x_out, f_pi, prev, prev_f, cfg) -> float:
@@ -29,6 +30,65 @@ def roa_loss(net, x_in, x_out, f_pi, prev, prev_f, cfg) -> float:
     monotonicity = cfg.lambda_monot * np.sum(
         (v_in - prev.net.value(prev_f(x_in))) ** 2)
     return float(classifier + decrease + monotonicity)
+
+
+def _plain_weights(net) -> list:
+    return [np.vstack([g1.T @ g1 + net.eps * np.eye(len(g1)), g2])
+            for g1, g2 in net.layers]
+
+
+def _plain_acts(net, x) -> list:
+    acts = [np.atleast_2d(np.asarray(x, dtype=float))]
+    for w in _plain_weights(net):
+        acts.append(np.tanh(acts[-1] @ w.T))
+    return acts
+
+
+def reference_forward(net, x) -> np.ndarray:
+    """V per row of ``x``, from fresh arrays, one whole-batch pass."""
+    h = _plain_acts(net, x)[-1]
+    return np.einsum("ij,ij->i", h, h)
+
+
+def reference_backward(net, x, out_weights, extra_weights=None) -> TapeGradient:
+    """The reverse pass for sum_i out_weights[i] V(x[i]) (and for the extra
+    column over the first m rows) from fresh arrays, in the operation order
+    of the library's buffered pass, so its bits must match."""
+    ws, acts = _plain_weights(net), _plain_acts(net, x)
+    m = 0 if extra_weights is None else len(extra_weights)
+    delta = 2.0 * np.asarray(out_weights, dtype=float)[:, None] * acts[-1]
+    delta_x = 2.0 * np.asarray(extra_weights, dtype=float)[:, None] * acts[-1][:m] if m else None
+    dws, dws_x = [None] * len(ws), [None] * len(ws)
+    for ell in range(len(ws) - 1, -1, -1):
+        slope = 1.0 - np.square(acts[ell + 1])
+        if m:
+            dz_x = delta_x * slope[:m]
+            dws_x[ell] = np.dot(dz_x.T, acts[ell][:m])
+            delta_x = dz_x @ ws[ell]
+        dz = slope * delta
+        dws[ell] = dz.T @ acts[ell]
+        delta = dz @ ws[ell]
+
+    def flat(d_weights):
+        parts = []
+        for (g1, _), dw in zip(net.layers, d_weights):
+            d_in = len(g1)
+            parts += [(g1 @ (dw[:d_in] + dw[:d_in].T)).ravel(), dw[d_in:].ravel()]
+        return np.concatenate(parts)
+
+    return TapeGradient(delta, flat(dws), flat(dws_x) if m else None)
+
+
+def full_grid_level(v, v_next, grid: GridDomain) -> float:
+    """The level rule on V at every cell image (``v_next``): the least V over
+    the cells that fail strict decrease or lie on the boundary, the
+    nearest-to-origin cell excepted, or the largest V if there is none."""
+    if float(v.max() - v.min()) < 1e-12:
+        raise DegenerateLevelError("V is constant on the grid")
+    violating = (v_next - v >= 0) | grid.boundary_mask()
+    violating[grid.origin_index()] = False
+    bad = v[violating]
+    return float(bad.min()) if bad.size else float(v.max())
 
 
 def cell_area(grid: GridDomain) -> float:

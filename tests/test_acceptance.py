@@ -48,7 +48,7 @@ class TestCriterion2GradientOracles:
         rng = np.random.default_rng(21)
         h = 1e-5
         x = rng.uniform(-1.0, 1.0, (25, 2))
-        g = net.grad_x(x)
+        _, g = net.grad_x(x)
         fd = np.stack([(net.value(x + e) - net.value(x - e)) / (2 * h)
                        for e in h * np.eye(2)], axis=1)
         rel = np.abs(g - fd).max(axis=1) / np.maximum(1.0, np.abs(fd).max(axis=1))
@@ -161,7 +161,7 @@ def _params_from(vec):
 class TestCriterion3Lemma1:
     def test_gradient_exactly_zero_at_origin(self, pretrained, small_net):
         for net in (pretrained[0], small_net):
-            g = net.grad_x(np.zeros((1, 2)))
+            _, g = net.grad_x(np.zeros((1, 2)))
             assert np.all(g == 0.0)
         _ok("criterion 3: grad V(0) is exactly zero for the architecture")
 

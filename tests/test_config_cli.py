@@ -14,7 +14,7 @@ from roagrow.config import (ConfigError, RedesignConfig, dump_config,
 from roagrow.experiment import (MaskOverlay, MetricsLog, emit_heatmap,
                                 read_metrics, write_report)
 
-from reference import rows_of
+from reference import full_grid_level, rows_of
 
 
 def _keys_of(kind: str) -> list:
@@ -412,6 +412,33 @@ class TwoArgError(Exception):
 
     def __init__(self, a, b):
         super().__init__(a)
+
+
+class TestPrefixLineSearchRun:
+    def test_same_bytes_as_the_full_grid_rule(self, tmp_path, monkeypatch):
+        import roagrow.experiment as experiment
+        import roagrow.roa_estimator as roa_estimator
+
+        # 1,600 cells: more than one block of images, so the prefix bites
+        cfg = RedesignConfig(**dict(TINY_FORKED, grid_cells=40, phases=2))
+        rows = []
+        value = roa_estimator.PDLyapunovNet.value
+        monkeypatch.setattr(roa_estimator.PDLyapunovNet, "value",
+                            lambda net, x: rows.append(len(x)) or value(net, x))
+        experiment.run_redesign(cfg, out_dir=tmp_path / "prefix")
+        assert 1024 in rows
+        monkeypatch.undo()
+
+        def full_grid(net, v, images, grid):
+            return full_grid_level(v, net.value(images), grid)
+
+        for module in (experiment, roa_estimator):
+            monkeypatch.setattr(module, "line_search_level", full_grid)
+        experiment.run_redesign(cfg, out_dir=tmp_path / "full")
+        _assert_no_child_left()
+        prefix, full = _artifacts(tmp_path / "prefix"), _artifacts(tmp_path / "full")
+        assert "masks/oracle_phase_02.pgm" in prefix
+        assert prefix == full
 
 
 class TestOracleInChild:

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import roagrow.lyapunov as lyapunov
 from roagrow.grid import GridDomain
-from roagrow.lyapunov import (PDLyapunovNet, PretrainDivergence, build_weight,
-                              load_net, pretrain_quadratic, quadratic_target,
-                              save_net)
+from roagrow.lyapunov import (PDLyapunovNet, PretrainDivergence, Workspace,
+                              build_weight, load_net, pretrain_quadratic,
+                              quadratic_target, save_net)
+
+from reference import reference_backward, reference_forward
 
 
 class TestBuildWeight:
@@ -48,11 +50,34 @@ class TestBuildWeight:
             with pytest.raises(ValueError, match="positive finite"):
                 PDLyapunovNet.initialize(np.random.default_rng(0), (2, 4), eps)
 
+    @pytest.mark.parametrize("widths, eps, defect", [
+        ((4, 2), 0.01, r"non-contracting, got \(4, 2\)"),
+        ((2, 64, 8, 64), 0.01, r"non-contracting, got \(2, 64, 8, 64\)"),
+        ((2, 4), 0.0, "positive finite"),
+        ((2, 4), np.nan, "positive finite"),
+    ], ids=["contracting", "contracting-middle", "zero-eps", "nan-eps"])
+    def test_initialize_checks_before_drawing(self, widths, eps, defect):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=defect):
+            PDLyapunovNet.initialize(rng, widths, eps)
+        assert rng.bit_generator.state == state
+
+    def test_build_weight_into_a_buffer(self):
+        rng = np.random.default_rng(2)
+        g1, g2 = rng.normal(size=(2, 2)), rng.normal(size=(62, 2))
+        out = np.full((64, 2), np.nan)
+        assert build_weight(g1, g2, 0.01, out) is out
+        expect = np.vstack([g1.T @ g1 + 0.01 * np.eye(2), g2])
+        assert np.array_equal(out, expect)
+
 
 class TestForward:
     def test_value_zero_at_origin(self, small_net):
         assert small_net.value(np.zeros((1, 2)))[0] == 0.0
-        assert np.all(small_net.forward(np.zeros((1, 2))).acts[-1] == 0.0)
+        work = Workspace(small_net)
+        work.forward(np.zeros((1, 2)))
+        assert np.all(work.acts[-1] == 0.0)
 
     def test_positive_on_grid(self, small_net, grid):
         v = small_net.value(grid.centers())
@@ -62,8 +87,9 @@ class TestForward:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (5, 2))
         v = small_net.value(x)
-        feats = small_net.forward(x).acts[-1]
-        assert np.allclose(v, np.sum(feats ** 2, axis=1))
+        work = Workspace(small_net)
+        work.forward(x)
+        assert np.allclose(v, np.sum(work.acts[-1] ** 2, axis=1))
 
     def test_copy_is_independent(self, small_net):
         clone = small_net.copy()
@@ -86,7 +112,7 @@ VALUE_ROWS = [1, 18, 19, B - 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 18,
 
 class TestValueBlocks:
     """``value`` walks the rows in blocks and keeps no activations; V of every
-    row must still equal ``forward``'s bit for bit."""
+    row must still equal a workspace's forward pass bit for bit."""
 
     @pytest.fixture(scope="class")
     def points(self):
@@ -108,7 +134,7 @@ class TestValueBlocks:
                                               points, n, where, which):
         net = small_net if which == "fresh" else loaded_net
         x = points[where][:n]
-        assert np.array_equal(net.value(x), net.forward(x).v)
+        assert np.array_equal(net.value(x), Workspace(net).forward(x))
 
     @pytest.mark.parametrize("cells", [100, 200])
     def test_grid_value_peak_memory(self, small_net, cells):
@@ -124,14 +150,16 @@ class TestValueBlocks:
 
 class TestGradients:
     def test_grad_x_zero_at_origin(self, small_net):
-        g = small_net.grad_x(np.zeros((1, 2)))
-        assert np.all(g == 0.0)
+        v, g = small_net.grad_x(np.zeros((1, 2)))
+        assert np.all(g == 0.0) and np.all(v == 0.0)
 
     def test_grad_x_matches_finite_differences(self, small_net):
         rng = np.random.default_rng(3)
         h = 1e-5
         x = rng.uniform(-1.5, 1.5, (50, 2))
-        g = small_net.grad_x(x)
+        v, g = small_net.grad_x(x)
+        # V comes from the same forward pass, with value's bits
+        assert np.array_equal(v, small_net.value(x))
         fd = np.stack([(small_net.value(x + e) - small_net.value(x - e)) / (2 * h)
                        for e in h * np.eye(2)], axis=1)
         rel = np.abs(g - fd).max(axis=1) / np.maximum(1.0, np.abs(fd).max(axis=1))
@@ -163,6 +191,63 @@ class TestGradients:
         t2 = small_net.backward(x, 2.0 * np.ones(4))
         assert np.allclose(2.0 * t1.d_input, t2.d_input)
         assert np.allclose(2.0 * t1.d_params, t2.d_params)
+
+
+# row counts on both sides of the 18-row limit, and one row
+WORK_ROWS = [1, 2, 7, 18, 19, 40, 256]
+
+
+class TestWorkspace:
+    """The buffered pass gives the bits of the plain allocating formulas in
+    ``reference.py``, whatever batch the workspace served before."""
+
+    @pytest.mark.parametrize("n", WORK_ROWS)
+    def test_pass_matches_the_plain_formulas(self, small_net, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1.5, 1.5, (n, 2))
+        w, extra = rng.normal(size=n), rng.normal(size=(n + 1) // 2)
+        v_ref, tape = reference_forward(small_net, x), reference_backward(
+            small_net, x, w, extra)
+        got = small_net.backward(x, w, extra)
+        assert np.array_equal(Workspace(small_net).forward(x), v_ref)
+        assert np.array_equal(got.d_input, tape.d_input)
+        assert np.array_equal(got.d_params, tape.d_params)
+        assert np.array_equal(got.d_params_extra, tape.d_params_extra)
+        assert small_net.backward(x, w).d_params_extra is None
+
+    def test_reuse_is_invisible(self, small_net):
+        net = small_net.copy()
+        rng = np.random.default_rng(21)
+        work = Workspace(net)
+        # the row count and the extra column change, return and vanish, and
+        # the row-sized arrays are released once (None)
+        for shape in [(5, 2), (5, 2), (30, 0), (30, 30), (1, 1), (256, 0),
+                      (256, 0), None, (256, 0), (19, 3), (5, 2)]:
+            if shape is None:
+                work.release()
+                continue
+            n, m = shape
+            x = rng.uniform(-1, 1, (n, 2))
+            w = rng.normal(size=n)
+            extra = rng.normal(size=m) if m else None
+            v = work.forward(x).copy()
+            work.backward(w, extra)
+            grad = work.clip(1e-3).copy()
+            fresh = Workspace(net)
+            assert np.array_equal(fresh.forward(x), v)
+            fresh.backward(w, extra)
+            assert np.array_equal(fresh.clip(1e-3), grad)
+            net.sgd_step(grad, 0.5)
+
+    def test_grad_x_skips_the_parameter_gradient(self, small_net, monkeypatch):
+        calls = []
+        blocks = Workspace._free_block_grads
+        monkeypatch.setattr(Workspace, "_free_block_grads",
+                            lambda *a: calls.append(1) or blocks(*a))
+        x = np.random.default_rng(4).uniform(-1, 1, (6, 2))
+        v, g = small_net.grad_x(x)
+        assert calls == []
+        assert np.array_equal(g, reference_backward(small_net, x, np.ones(6)).d_input)
 
 
 class TestPretraining:

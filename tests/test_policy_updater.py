@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 import roagrow.policy_updater as policy_updater
-from roagrow.dynamics import ClosedLoopMap, closed_loop
+from roagrow.dynamics import ClosedLoopMap, closed_loop, rollout_batch
 from roagrow.policy import SatParams, SatPolicy
 from roagrow.policy_updater import (_diagnostics, _rollout_tape, bptt,
                                     sample_policy_batch, update_policy)
@@ -23,7 +23,8 @@ class QuadV:
         return self.scale * (x[:, 0] ** 2 + x[:, 1] ** 2)
 
     def grad_x(self, x):
-        return 2.0 * self.scale * np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self.value(x), 2.0 * self.scale * x
 
 
 def quad_grid(grid):
@@ -34,7 +35,8 @@ def quad_grid(grid):
 
 class ContractionMap(ClosedLoopMap):
     """x' = 0.5 x, control identically zero (K = 0); for closed-form checks.
-    Its ``params`` is the scale, which :func:`scaled_jacobians` reads."""
+    Its ``params`` is the scale, which :func:`scaled_jacobians` and
+    :func:`scaled_step` read."""
 
     scale = 0.5
 
@@ -53,11 +55,17 @@ def scaled_jacobians(state, scale):
     return a, np.zeros(2)
 
 
+def scaled_step(state, u, scale):
+    """The step x' = scale * x, which ignores the control."""
+    return scale * np.asarray(state, dtype=float)
+
+
 @pytest.fixture
 def scaled_maps(monkeypatch):
-    """Let the rollout tape differentiate :class:`ContractionMap` and its
-    kin, whose ``params`` is a scale, not a pendulum."""
+    """Let the rollout tape step and differentiate :class:`ContractionMap`
+    and its kin, whose ``params`` is a scale, not a pendulum."""
     monkeypatch.setattr(policy_updater, "step_jacobians", scaled_jacobians)
+    monkeypatch.setattr(policy_updater, "step_euler", scaled_step)
 
 
 class TestHyper:
@@ -187,6 +195,32 @@ class TestBpttGrad:
         before = net.params.copy()
         bptt(f_initial, est, np.array([[0.5, -0.4]]), 10, 10.0, BIG_BOX)
         assert np.array_equal(net.params, before)
+
+
+class TestRolloutTape:
+    @pytest.mark.parametrize("variant", ["thresholds", "slopes"])
+    def test_states_have_the_bits_of_the_map(self, cfg, lqr, params, variant):
+        # a wide box, so no row freezes: each state is the map's image
+        pol = replace(cfg, variant=variant).initial_policy(lqr[0])
+        pol = replace(pol, psi=replace(pol.psi, m_a=0.3, m_b=0.1))
+        clm = closed_loop(pol, params)
+        x0s = np.random.default_rng(6).uniform([-1.5, -6.0], [1.5, 6.0], (300, 2))
+        x = x0s
+        for _ in range(10):
+            x = clm(x)
+        finals, diverged = _rollout_tape(clm, x0s, 10, BIG_BOX)[:2]
+        assert not diverged.any()
+        assert finals.tobytes() == np.ascontiguousarray(x).tobytes()
+
+    def test_frozen_rows_end_where_rollout_batch_ends_them(self, f_initial, grid):
+        # the label rollouts freeze a row that leaves the box in the same way
+        x0s = np.random.default_rng(7).uniform([-1.5, -6.0], [1.5, 6.0], (300, 2))
+        box = grid.safety_box(1.0)
+        finals, diverged = _rollout_tape(f_initial, x0s, 10, box)[:2]
+        expect, expect_diverged = rollout_batch(f_initial, x0s, 10, box)
+        assert 0 < diverged.sum() < len(x0s)
+        assert np.array_equal(diverged, expect_diverged)
+        assert finals.tobytes() == expect.tobytes()
 
 
 def _raw_params(vec, trainable):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 import roagrow.lyapunov as lyapunov
 from roagrow.config import RedesignConfig
+from roagrow.grid import GridDomain
+from roagrow.lyapunov import VALUE_BLOCK, Workspace
 from roagrow.roa_estimator import (DegenerateLevelError, LevelSetEstimate,
                                    estimate_roa, label_batch, line_search_level,
                                    sample_mixture, _loss_batch, _roa_loss_grad)
 
-from reference import cell_index, roa_loss
+from reference import cell_index, full_grid_level, roa_loss
 
 
 class QuadV:
@@ -23,6 +26,25 @@ class QuadV:
 
     def copy(self):
         return QuadV(self.scale)
+
+
+class TableV:
+    """Duck-typed net for the line search: a state (k, *) has V = table[k],
+    so ``images`` that hold cell indices give any V field at the images."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+        self.rows = []                    # rows of each value call
+
+    def value(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        self.rows.append(len(x))
+        return self.table[x[:, 0].astype(int)]
+
+
+def images_of(v_next):
+    """Images whose V under ``TableV(v_next)`` is ``v_next``, cell by cell."""
+    return np.stack([np.arange(len(v_next)), np.zeros(len(v_next))], axis=1)
 
 
 def quad_grid(grid):
@@ -183,7 +205,7 @@ class TestRoaLoss:
         xin_next = f_initial(x_in)
         prev_vals = prev.net.value(f_initial(x_in))
         loss, grad = _roa_loss_grad(
-            net, *_loss_batch(x_in, x_out, xin_next, raw), prev_vals, raw)
+            Workspace(net), *_loss_batch(x_in, x_out, xin_next, raw), prev_vals, raw)
         flat = grad * (len(x_in) + len(x_out))
         theta = net.params.copy()
         h = 1e-6
@@ -218,7 +240,7 @@ class TestRoaLoss:
         def flat_grad(**kw):
             c = replace(cfg, **kw)
             return _roa_loss_grad(
-                net, *_loss_batch(x_in, x_out, xin_next, c), prev_vals, c)[1]
+                Workspace(net), *_loss_batch(x_in, x_out, xin_next, c), prev_vals, c)[1]
 
         # the linear part alone is well above the cap, so the cap does cut
         raw_linear = flat_grad(lambda_monot=0.0, roa_grad_clip=1e9)
@@ -240,7 +262,7 @@ class TestRoaLoss:
         x, weights = _loss_batch(x_in, x_out, f_initial(x_in), cfg)
         prev_vals = net.value(x_in) + np.array([0.3, -0.2, 0.5])
         n_batch = len(x_in) + len(x_out)
-        w_monot = 2.0 * cfg.lambda_monot * (net.forward(x).v[:3] - prev_vals) / n_batch
+        w_monot = 2.0 * cfg.lambda_monot * (Workspace(net).forward(x)[:3] - prev_vals) / n_batch
         tape = net.backward(x, weights, extra_weights=w_monot)
         raw = tape.d_params
         norm = np.sqrt(sum(float((g1 ** 2).sum() + (g2 ** 2).sum())
@@ -248,7 +270,7 @@ class TestRoaLoss:
         assert norm > cfg.roa_grad_clip
         # precondition: a flat dot product would scale differently
         assert cfg.roa_grad_clip / np.sqrt(raw @ raw) != cfg.roa_grad_clip / norm
-        _, grad = _roa_loss_grad(net, x, weights, prev_vals, cfg)
+        _, grad = _roa_loss_grad(Workspace(net), x, weights, prev_vals, cfg)
         expect = raw * (cfg.roa_grad_clip / norm) + tape.d_params_extra
         assert np.array_equal(grad, expect)
 
@@ -263,34 +285,61 @@ class TestRoaLoss:
         build = lyapunov.build_weight
         monkeypatch.setattr(lyapunov, "build_weight",
                             lambda *blocks: built.append(blocks) or build(*blocks))
-        _roa_loss_grad(net, *_loss_batch(x_in, x_out, xin_next, cfg), prev_vals, cfg)
-        assert len(built) == len(net.layers)
+        work = Workspace(net)
+        for steps in (1, 2):
+            _roa_loss_grad(work, *_loss_batch(x_in, x_out, xin_next, cfg),
+                           prev_vals, cfg)
+            assert len(built) == steps * len(net.layers)
+
+    @pytest.mark.parametrize("lambda_monot", [0.01, 0.0])
+    def test_reused_workspace_gives_fresh_bits(self, small_net, f_initial, cfg,
+                                               lambda_monot):
+        # batches whose size and n_in change, n_in = 0 included, each for a
+        # few steps, as the growth iterations give them
+        c = replace(cfg, lambda_monot=lambda_monot)
+        net = small_net.copy()
+        rng = np.random.default_rng(11)
+        work = Workspace(net)
+        for n_in, n_out in [(3, 4), (0, 10), (12, 0), (1, 1), (0, 1), (25, 35),
+                            (3, 4)]:
+            x_in = rng.uniform(-0.5, 0.5, (n_in, 2))
+            x_out = rng.uniform(-1, 1, (n_out, 2))
+            x, weights = _loss_batch(x_in, x_out, f_initial(x_in), c)
+            prev_vals = net.value(x_in) + rng.normal(scale=0.1, size=n_in)
+            for _ in range(3):
+                loss, grad = _roa_loss_grad(work, x, weights, prev_vals, c)
+                grad = grad.copy()
+                fresh_loss, fresh_grad = _roa_loss_grad(Workspace(net), x, weights,
+                                                        prev_vals, c)
+                assert loss == fresh_loss
+                assert np.array_equal(grad, fresh_grad)
+                net.sgd_step(grad, c.roa_lr)
 
 
 class TestLineSearch:
     def test_contraction_limited_by_boundary(self, grid):
         v = quad_grid(grid)
-        c = line_search_level(v, 0.25 * v, grid)
+        c = line_search_level(QuadV(), v, contract(grid.centers()), grid)
         boundary_min = v[grid.boundary_mask()].min()
         assert c == pytest.approx(boundary_min)
 
     def test_expansion_returns_minimal_level(self, grid):
         v = quad_grid(grid)
-        c = line_search_level(v, 4.0 * v, grid)
+        c = line_search_level(QuadV(), v, expand(grid.centers()), grid)
         nonorigin = np.ones(grid.n_cells, dtype=bool)
         nonorigin[grid.origin_index()] = False
         assert c == pytest.approx(v[nonorigin].min())
 
     def test_monotone_nesting(self, grid):
         v = quad_grid(grid)
-        c = line_search_level(v, 0.25 * v, grid)
+        c = line_search_level(QuadV(), v, contract(grid.centers()), grid)
         for c_smaller in (0.5 * c, 0.1 * c):
             assert np.all((v < c_smaller) <= (v < c))
 
     def test_degenerate_net_rejected(self, grid):
         with pytest.raises(DegenerateLevelError):
-            line_search_level(np.full(grid.n_cells, 3.0),
-                              np.full(grid.n_cells, 3.0), grid)
+            line_search_level(QuadV(0.0), np.full(grid.n_cells, 3.0),
+                              grid.centers(), grid)
 
     def test_soundness_of_returned_level(self, pretrained, pretrained_level,
                                          f_initial, grid):
@@ -300,6 +349,119 @@ class TestLineSearch:
         inside[grid.origin_index()] = False
         assert np.all(dv[inside] < 0)
         assert not np.any(inside & grid.boundary_mask())
+
+
+def prefix_and_full(v, v_next, grid):
+    """The prefix search's level and the full-grid rule's, and the rows the
+    prefix search evaluated."""
+    net = TableV(v_next)
+    return (line_search_level(net, v, images_of(v_next), grid),
+            full_grid_level(v, v_next, grid), net.rows)
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestPrefixLineSearch:
+    """The prefix search returns, bit for bit, what the full-grid rule in
+    ``reference.py`` returns on V at every image."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 12), st.integers(2, 12), st.data())
+    def test_equals_the_full_grid_rule(self, n_theta, n_omega, data):
+        grid = GridDomain(n_theta=n_theta, n_omega=n_omega)
+        n = grid.n_cells
+        field = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 1.0, 2.0]))
+        v = np.array(data.draw(st.lists(field, min_size=n, max_size=n)))
+        v_next = np.array(data.draw(st.lists(field, min_size=n, max_size=n)))
+        if float(v.max() - v.min()) < 1e-12:
+            v[0] += 1.0
+        level, expect, rows = prefix_and_full(v, v_next, grid)
+        assert same_float(level, expect)
+        assert all(r == n for r in rows)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(20, 70), st.integers(20, 70), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 0.05))
+    def test_equals_the_full_grid_rule_over_blocks(self, n_theta, n_omega, seed,
+                                                   p_bad):
+        # grids of up to 4,900 cells, so up to 5 blocks; a violation is an
+        # image whose V is at least the cell's, equality included
+        grid = GridDomain(n_theta=n_theta, n_omega=n_omega)
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0, 1, grid.n_cells)
+        v_next = v * rng.uniform(0.5, 1.0, grid.n_cells)
+        bad = rng.random(grid.n_cells) < p_bad
+        v_next[bad] = v[bad] + rng.choice([0.0, 0.1], size=int(bad.sum()))
+        level, expect, _ = prefix_and_full(v, v_next, grid)
+        assert same_float(level, expect)
+
+    def test_constant_v_still_degenerate(self):
+        grid = GridDomain(n_theta=5, n_omega=5)
+        v = np.full(grid.n_cells, 0.3)
+        with pytest.raises(DegenerateLevelError):
+            full_grid_level(v, v, grid)
+        with pytest.raises(DegenerateLevelError):
+            line_search_level(TableV(v), v, images_of(v), grid)
+
+    def test_no_candidate_below_the_cap(self, grid):
+        # the lowest boundary cell is the lowest cell but the origin's
+        v = quad_grid(grid) + 10.0
+        v[grid.boundary_mask()] = 1.0
+        v[grid.origin_index()] = 0.5
+        level, expect, rows = prefix_and_full(v, v + 1.0, grid)
+        assert same_float(level, expect) and level == 1.0
+        assert rows == []
+
+    @pytest.mark.parametrize("rank", [VALUE_BLOCK + 5, 3 * VALUE_BLOCK - 1])
+    def test_first_violation_beyond_the_first_block(self, grid, rank):
+        # an elliptic V, level with the domain's shape: 78% of the cells lie
+        # below the boundary cap
+        centers = grid.centers()
+        v = (centers[:, 0] / grid.theta_max) ** 2 + (centers[:, 1] / grid.omega_max) ** 2
+        order = np.argsort(v, kind="stable")
+        v_next = 0.5 * v
+        v_next[order[rank]] = 2.0 * v[order[rank]] + 1.0
+        level, expect, rows = prefix_and_full(v, v_next, grid)
+        assert level < v[grid.boundary_mask()].min()
+        assert same_float(level, expect) and level == v[order[rank]]
+        assert rows == [VALUE_BLOCK] * (rank // VALUE_BLOCK + 1)
+
+    def test_fewer_candidates_than_the_small_batch_limit(self, grid):
+        # 5 cells below the cap: one block of VALUE_BLOCK rows is evaluated
+        v = quad_grid(grid) + 10.0
+        v[grid.boundary_mask()] = 5.0
+        low = [4 * grid.n_theta + 4, 50 * grid.n_theta + 7, 9 * grid.n_theta + 60,
+               30 * grid.n_theta + 30, 70 * grid.n_theta + 80]
+        v[low] = [1.0, 2.0, 3.0, 3.0, 4.0]
+        v_next = 0.5 * v
+        v_next[low[3]] = 9.0
+        level, expect, rows = prefix_and_full(v, v_next, grid)
+        assert same_float(level, expect) and level == 3.0
+        assert rows == [VALUE_BLOCK]
+
+    @pytest.mark.parametrize("cells, low", [(2, -1.0), (3, -0.1)])
+    def test_tiny_grids_with_the_origin_on_the_boundary(self, cells, low):
+        # a 3 x 3 grid centred on the origin has it in its one inner cell
+        grid = GridDomain(theta_min=low, theta_max=1.0, omega_min=low,
+                          omega_max=1.0, n_theta=cells, n_omega=cells)
+        origin = grid.origin_index()
+        assert grid.boundary_mask()[origin]
+        rng = np.random.default_rng(cells)
+        for _ in range(50):
+            v = rng.uniform(0, 1, grid.n_cells)
+            v_next = v + rng.uniform(-0.5, 0.5, grid.n_cells)
+            level, expect, rows = prefix_and_full(v, v_next, grid)
+            assert same_float(level, expect)
+            assert rows in ([], [grid.n_cells])
+
+    def test_real_net_on_the_grid(self, pretrained, f_initial, grid):
+        net = pretrained[0]
+        v = net.value(grid.centers())
+        images = f_initial(grid.centers())
+        level = line_search_level(net, v, images, grid)
+        assert same_float(level, full_grid_level(v, net.value(images), grid))
 
 
 class TestEstimateRoa:
@@ -334,9 +496,10 @@ class TestEstimateRoa:
         assert outs[0][1] == outs[1][1]
         assert outs[0][2] == outs[1][2]
 
-    def test_two_grid_evaluations_per_iteration(self, pretrained, pretrained_level,
-                                                f_initial, grid, cfg, monkeypatch):
-        # one at the cell centres, one at their images under the policy
+    def test_one_grid_evaluation_per_iteration(self, pretrained, pretrained_level,
+                                               f_initial, grid, cfg, monkeypatch):
+        # at the cell centres; the line search evaluates only a prefix of
+        # their images
         rows = []
         value = lyapunov.PDLyapunovNet.value
         monkeypatch.setattr(lyapunov.PDLyapunovNet, "value",
@@ -345,4 +508,5 @@ class TestEstimateRoa:
         short = replace(cfg, growth_iters=3, roa_sgd_steps=30)
         estimate_roa(prev, pretrained_level[0], f_initial, f_initial, short,
                      short.batch_size(1), grid, np.random.default_rng(2))
-        assert rows.count(grid.n_cells) == 2 * short.growth_iters
+        assert rows.count(grid.n_cells) == short.growth_iters
+        assert sum(rows) < 2 * short.growth_iters * grid.n_cells
