@@ -108,7 +108,7 @@ def _cmd_pretrain(cfg: RedesignConfig) -> int:
 def _cmd_oracle(cfg: RedesignConfig) -> int:
     params = cfg.pendulum_params()
     grid = cfg.grid()
-    k_gain, _ = _design_lqr(cfg, params)
+    k_gain, _ = _design_lqr(cfg)
     policy = cfg.initial_policy(k_gain)
     mask = true_roa(closed_loop(policy, params), grid, cfg.oracle_kmax,
                     cfg.oracle_ball_radius, cfg.oracle_confirm_steps,

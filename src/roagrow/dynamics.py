@@ -25,7 +25,6 @@ __all__ = [
     "closed_loop",
     "rollout_batch",
     "out_of_box",
-    "linearize",
     "dare_lqr",
 ]
 
@@ -41,9 +40,9 @@ class PendulumParams:
     dt: float = 0.01
 
     def __post_init__(self):
-        if self.length <= 0 or self.inertia <= 0 or self.dt <= 0:
+        if not (self.length > 0 and self.inertia > 0 and self.dt > 0):
             raise ValueError("length, inertia and dt must be positive")
-        if self.friction < 0:
+        if not self.friction >= 0:
             raise ValueError("friction must be non-negative")
 
 
@@ -100,6 +99,7 @@ def step_euler(state, u, p: PendulumParams):
 
 def step_jacobians(state, p: PendulumParams):
     """Analytic Jacobians of the Euler step: (df/dx with u held, df/du).
+    At the origin they are the LQR design model.
 
     df/dx = [[1, dt], [dt*(g/l)*cos(theta), 1 - dt*friction/I]]
     df/du = [0, dt/I]
@@ -161,24 +161,6 @@ def rollout_batch(f, x0s: np.ndarray, steps: int, box):
         diverged[idx[out]] = True
         x[idx[~out]] = xn[~out]
     return x, diverged
-
-
-def linearize(step_fn, s0, u0: float, h: float = 1e-5) -> LinearModel:
-    """Central finite-difference Jacobians of a discrete map at (s0, u0).
-
-    ``step_fn(state, u)`` must return the next state.  Used for the LQR design
-    point; the analytic Jacobians in :func:`step_jacobians` serve as the
-    independent cross-check in the test suite.
-    """
-    s0 = np.asarray(s0, dtype=float)
-    d = s0.shape[0]
-    a = np.zeros((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        a[:, i] = (np.asarray(step_fn(s0 + e, u0)) - np.asarray(step_fn(s0 - e, u0))) / (2 * h)
-    b = ((np.asarray(step_fn(s0, u0 + h)) - np.asarray(step_fn(s0, u0 - h))) / (2 * h))
-    return LinearModel(a, b.reshape(d, 1))
 
 
 def riccati_step(p_mat: np.ndarray, m: LinearModel, q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RedesignConfig, dump_config
-from .dynamics import closed_loop, dare_lqr, linearize, step_euler
+from .dynamics import LinearModel, closed_loop, dare_lqr, step_jacobians
 from .grid import GridDomain
 from .lyapunov import (PDLyapunovNet, pretrain_quadratic,
                        quadratic_target, save_net)
@@ -159,12 +159,12 @@ def emit_heatmap(domain_field, path, n_theta: int, n_omega: int):
             fh.write(gray.tobytes())
 
 
-def _design_lqr(cfg: RedesignConfig, params):
-    model = linearize(lambda s, u: step_euler(s, u, params),
-                      np.zeros(2), 0.0)
-    q = cfg.lqr_q * np.eye(2)
-    r = np.array([[cfg.lqr_r]])
-    k, p_mat = dare_lqr(model, q, r)
+def _design_lqr(cfg: RedesignConfig):
+    """LQR gain (2,) and Riccati solution P for the Euler step, linearized at
+    the origin by its analytic Jacobians."""
+    a, b = step_jacobians(np.zeros(2), cfg.pendulum_params())
+    k, p_mat = dare_lqr(LinearModel(a, b.reshape(2, 1)), cfg.lqr_q * np.eye(2),
+                        np.array([[cfg.lqr_r]]))
     return k.reshape(2), p_mat
 
 
@@ -181,7 +181,7 @@ def pretrain_target_values(cfg: RedesignConfig, grid: GridDomain, p_mat):
 
 def pretrain_net(cfg: RedesignConfig, grid: GridDomain, rng) -> tuple:
     """Initialize and pretrain the Lyapunov net per the configuration."""
-    k_gain, p_mat = _design_lqr(cfg, cfg.pendulum_params())
+    k_gain, p_mat = _design_lqr(cfg)
     net = PDLyapunovNet.initialize(rng, cfg.net_widths(), cfg.pd_eps)
     stats = pretrain_quadratic(net, grid.centers(),
                                pretrain_target_values(cfg, grid, p_mat), rng,

@@ -25,9 +25,9 @@ class GridDomain:
     n_omega: int = 100
 
     def __post_init__(self):
-        if self.theta_min >= self.theta_max or self.omega_min >= self.omega_max:
+        if not (self.theta_min < self.theta_max and self.omega_min < self.omega_max):
             raise ValueError("domain bounds must be ordered")
-        if self.n_theta < 2 or self.n_omega < 2:
+        if not (self.n_theta >= 2 and self.n_omega >= 2):
             raise ValueError("need at least 2 cells per dimension")
 
     @property

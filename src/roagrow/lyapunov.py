@@ -7,9 +7,9 @@ and V(x) > 0 elsewhere by construction rather than by training.
 
 The reverse-mode pass here is special-purpose: it differentiates exactly the
 compositions this project trains (weighted sums of V values over batches),
-returning gradients with respect to the network input and to the free blocks.
-It runs in a :class:`Workspace`, whose arrays a training loop reuses from
-step to step.
+with respect to the free blocks or to the network input.  It runs in a
+:class:`Workspace`, whose arrays a training loop reuses from step to step;
+:meth:`PDLyapunovNet.grad_x` runs one for the input gradient.
 
 V of a point is not bit-stable across batch sizes under OpenBLAS: in a batch
 of 18 rows or fewer its low bits can differ from those in a larger batch, so
@@ -19,14 +19,12 @@ of 18 rows or fewer its low bits can differ from those in a larger batch, so
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PDLyapunovNet",
     "Workspace",
-    "TapeGradient",
     "PretrainDivergence",
     "build_weight",
     "pretrain_quadratic",
@@ -55,22 +53,6 @@ def build_weight(g1: np.ndarray, g2: np.ndarray, eps: float,
     top.flat[::d_in + 1] += eps
     out[d_in:] = g2
     return out
-
-
-@dataclass
-class TapeGradient:
-    """Result of one reverse pass.
-
-    ``d_input`` holds the per-sample gradient of the weighted output sum with
-    respect to the network input; ``d_params`` holds its gradient with respect
-    to the free blocks, one vector laid out like :attr:`PDLyapunovNet.params`.
-    ``d_params_extra`` holds the same for the optional extra weight column,
-    or None when no such column was given.
-    """
-
-    d_input: np.ndarray
-    d_params: np.ndarray
-    d_params_extra: np.ndarray | None = None
 
 
 class PDLyapunovNet:
@@ -144,28 +126,12 @@ class PDLyapunovNet:
             v.append(np.einsum("ij,ij->i", h, h))
         return np.concatenate(v)
 
-    def backward(self, x: np.ndarray, out_weights: np.ndarray,
-                 extra_weights: np.ndarray | None = None) -> TapeGradient:
-        """Reverse pass for S = sum_i out_weights[i] * V(x[i]), in a fresh
-        :class:`Workspace` whose arrays the result keeps.
-
-        Returns per-sample input gradients (row i is the gradient of
-        ``out_weights[i] * V(x[i])``) and parameter gradients of S, and those
-        of sum_i extra_weights[i] * V(x[i]) over the first m rows when the
-        extra column (m,) is given.
-        """
-        work = Workspace(self)
-        work.forward(x)
-        work.backward(out_weights, extra_weights, d_input=True)
-        return TapeGradient(work.delta[0], work.grad,
-                            work.grad_extra if work.m else None)
-
     def grad_x(self, x) -> tuple:
         """``(V, dV/dx)`` per sample, shapes (n,) and (n, 2), from one
         forward pass; no parameter gradient is formed."""
         work = Workspace(self)
         v = work.forward(x)
-        work.backward(np.ones(len(v)), params=False, d_input=True)
+        work.backward(np.ones(len(v)), d_input=True)
         return v, work.delta[0]
 
     def sgd_step(self, grad: np.ndarray, lr: float):
@@ -238,17 +204,17 @@ class Workspace:
             np.tanh(h, out=h)
         return np.einsum("ij,ij->i", h, h, out=self.v)
 
-    def backward(self, out_weights, extra_weights=None, params: bool = True,
-                 d_input: bool = False):
+    def backward(self, out_weights, extra_weights=None, d_input: bool = False):
         """Reverse pass of the last :meth:`forward` for
         S = sum_i out_weights[i] * V(x[i]).
 
-        With ``params``, ``grad`` holds the gradient of S laid out like the
-        net's ``params``.  With ``d_input``, ``delta[0]`` holds the per-row
-        gradient of S w.r.t. the input.  ``extra_weights`` (m,) is a second
-        weight column for the first m rows; the gradient of its sum goes to
-        ``grad_extra``, from the same sweep over the cached activations, so a
-        caller can treat the two sums differently (clip one, not the other).
+        By default ``grad`` holds the gradient of S laid out like the net's
+        ``params``; with ``d_input``, ``delta[0]`` holds the per-row gradient
+        of S w.r.t. the input instead, and no parameter gradient is formed.
+        ``extra_weights`` (m,) is a second weight column for the first m
+        rows; the gradient of its sum goes to ``grad_extra``, from the same
+        sweep over the cached activations, so a caller can treat the two
+        sums differently (clip one, not the other).
         """
         acts, ws, n_layers = self.acts, self.ws, len(self.ws)
         out_weights = np.asarray(out_weights, dtype=float)
@@ -272,11 +238,11 @@ class Workspace:
                 if ell:
                     delta_x = np.matmul(dz_x, ws[ell], out=self.delta_x[ell])
             dz *= delta
-            if params:
+            if not d_input:
                 np.matmul(dz.T, acts[ell], out=self.dw[ell])
             if ell or d_input:
                 delta = np.matmul(dz, ws[ell], out=self.delta[ell])
-        if params:
+        if not d_input:
             self._free_block_grads(self.dw, self.grad_blocks)
         if m:
             self._free_block_grads(self.dw_x, self.extra_blocks)

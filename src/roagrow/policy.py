@@ -19,7 +19,6 @@ __all__ = [
     "sat_grad_psi",
     "policy_input",
     "policy_eval",
-    "policy_grad_psi",
     "project_psi",
     "crop_update",
 ]
@@ -36,9 +35,9 @@ class SatParams:
     trainable: tuple = (True, True, False, False)
 
     def __post_init__(self):
-        if self.b > self.a:
+        if not self.b <= self.a:
             raise ValueError("saturation requires b <= a")
-        if self.m_a < 0 or self.m_b < 0:
+        if not (self.m_a >= 0 and self.m_b >= 0):
             raise ValueError("outer slopes must be non-negative")
         if len(self.trainable) != 4:
             raise ValueError("trainable mask must cover (a, b, m_a, m_b)")
@@ -65,7 +64,7 @@ class SatPolicy:
     def __post_init__(self):
         if not np.all(np.isfinite(self.k)):
             raise ValueError("gain must be finite")
-        if self.crop_radius <= 0:
+        if not self.crop_radius > 0:
             raise ValueError("crop_radius must be positive")
 
 
@@ -117,12 +116,6 @@ def policy_eval(state, pol: SatPolicy):
     return sat(policy_input(state, pol), pol.psi)
 
 
-def policy_grad_psi(state, pol: SatPolicy) -> np.ndarray:
-    """Exact piecewise derivative of the control w.r.t. (a, b, m_a, m_b):
-    :func:`sat_grad_psi` at the state's saturation input."""
-    return sat_grad_psi(policy_input(state, pol), pol.psi)
-
-
 def project_psi(values: np.ndarray) -> np.ndarray:
     """Make raw (a, b, m_a, m_b) a valid shape: outer slopes clipped to >= 0,
     then b projected down to a if it lies above it."""
@@ -143,7 +136,7 @@ def crop_update(old_psi: SatParams, proposed,
     again.  ``proposed`` is a raw (a, b, m_a, m_b) array, which admits
     unordered proposals straight out of a gradient step.
     """
-    if crop_radius <= 0:
+    if not crop_radius > 0:
         raise ValueError("crop_radius must be positive")
     old = old_psi.as_array()
     new = np.asarray(proposed, dtype=float)

@@ -53,7 +53,7 @@ class LevelSetEstimate:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("level value must be positive")
 
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from roagrow.config import RedesignConfig
-from roagrow.dynamics import closed_loop, dare_lqr, linearize, step_euler
-from roagrow.experiment import pretrain_net
+from roagrow.dynamics import closed_loop
+from roagrow.experiment import _design_lqr, pretrain_net
 from roagrow.lyapunov import PDLyapunovNet
 
 
@@ -31,10 +31,8 @@ def grid(cfg):
 
 
 @pytest.fixture(scope="session")
-def lqr(cfg, params):
-    model = linearize(lambda s, u: step_euler(s, u, params), np.zeros(2), 0.0)
-    k, p = dare_lqr(model, cfg.lqr_q * np.eye(2), np.array([[cfg.lqr_r]]))
-    return k.reshape(2), p
+def lqr(cfg):
+    return _design_lqr(cfg)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
+from roagrow.dynamics import LinearModel
 from roagrow.experiment import read_metrics
 from roagrow.grid import GridDomain
-from roagrow.lyapunov import TapeGradient
 from roagrow.oracle import RoaMask
 from roagrow.roa_estimator import C_BAR, DegenerateLevelError, gap_ring
 
@@ -50,10 +50,14 @@ def reference_forward(net, x) -> np.ndarray:
     return np.einsum("ij,ij->i", h, h)
 
 
-def reference_backward(net, x, out_weights, extra_weights=None) -> TapeGradient:
-    """The reverse pass for sum_i out_weights[i] V(x[i]) (and for the extra
-    column over the first m rows) from fresh arrays, in the operation order
-    of the library's buffered pass, so its bits must match."""
+def reference_backward(net, x, out_weights, extra_weights=None) -> tuple:
+    """The reverse pass for S = sum_i out_weights[i] V(x[i]) (and for the
+    extra column over the first m rows) from fresh arrays, in the operation
+    order of the library's buffered pass, so its bits must match.
+
+    Returns ``(d_input, d_params, d_params_extra)``: the per-row gradient of
+    S w.r.t. the input, the gradient of S laid out like the net's ``params``,
+    and that of the extra column's sum (None without one)."""
     ws, acts = _plain_weights(net), _plain_acts(net, x)
     m = 0 if extra_weights is None else len(extra_weights)
     delta = 2.0 * np.asarray(out_weights, dtype=float)[:, None] * acts[-1]
@@ -76,7 +80,23 @@ def reference_backward(net, x, out_weights, extra_weights=None) -> TapeGradient:
             parts += [(g1 @ (dw[:d_in] + dw[:d_in].T)).ravel(), dw[d_in:].ravel()]
         return np.concatenate(parts)
 
-    return TapeGradient(delta, flat(dws), flat(dws_x) if m else None)
+    return delta, flat(dws), flat(dws_x) if m else None
+
+
+def linearize(step_fn, s0, u0: float, h: float = 1e-5) -> LinearModel:
+    """Central finite-difference Jacobians of a discrete map at (s0, u0):
+    the oracle for the analytic :func:`roagrow.dynamics.step_jacobians`
+    that the LQR design uses.  ``step_fn(state, u)`` returns the next
+    state."""
+    s0 = np.asarray(s0, dtype=float)
+    d = s0.shape[0]
+    a = np.zeros((d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        a[:, i] = (np.asarray(step_fn(s0 + e, u0)) - np.asarray(step_fn(s0 - e, u0))) / (2 * h)
+    b = ((np.asarray(step_fn(s0, u0 + h)) - np.asarray(step_fn(s0, u0 - h))) / (2 * h))
+    return LinearModel(a, b.reshape(d, 1))
 
 
 def full_grid_level(v, v_next, grid: GridDomain) -> float:

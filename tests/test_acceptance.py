@@ -10,16 +10,15 @@ import numpy as np
 from dataclasses import replace
 
 from roagrow.config import RedesignConfig
-from roagrow.dynamics import (LinearModel, closed_loop, dare_lqr, linearize,
-                              step_euler)
+from roagrow.dynamics import LinearModel, closed_loop, dare_lqr, step_euler
 from roagrow.experiment import run_redesign
 from roagrow.grid import GridDomain
-from roagrow.lyapunov import load_net
+from roagrow.lyapunov import Workspace, load_net
 from roagrow.policy_updater import bptt
 from roagrow.roa_estimator import LevelSetEstimate, sample_mixture
 
 from conftest import ACCEPT_PHASES as PHASES
-from reference import cell_index, gap_growth_check, rows_of
+from reference import cell_index, gap_growth_check, linearize, rows_of
 
 
 def _ok(name: str, detail: str = ""):
@@ -59,7 +58,10 @@ class TestCriterion2GradientOracles:
         net = pretrained[0].copy()
         rng = np.random.default_rng(22)
         x = rng.uniform(-1.0, 1.0, (4, 2))
-        flat = net.backward(x, np.ones(4)).d_params
+        work = Workspace(net)
+        work.forward(x)
+        work.backward(np.ones(4))
+        flat = work.grad
         theta = net.params.copy()
         h = 1e-5
         for _ in range(20):
@@ -75,7 +77,7 @@ class TestCriterion2GradientOracles:
         _ok("criterion 2b: grad_params matches finite differences")
 
     def test_policy_grad_oracle(self):
-        from roagrow.policy import SatParams, SatPolicy, policy_grad_psi
+        from roagrow.policy import SatParams, SatPolicy, policy_input, sat_grad_psi
 
         rng = np.random.default_rng(23)
         h = 1e-6
@@ -89,7 +91,7 @@ class TestCriterion2GradientOracles:
             z = float(-(pol.k @ x))
             if min(abs(z - a), abs(z - b)) < 1e-3:
                 continue
-            grad = policy_grad_psi(x, pol)
+            grad = sat_grad_psi(policy_input(x, pol), pol.psi)
             vec = psi.as_array()
             fd = np.zeros(4)
             for i in range(4):
@@ -99,7 +101,7 @@ class TestCriterion2GradientOracles:
                 fd[i] = (_sat_raw(z, hi) - _sat_raw(z, lo)) / (2 * h)
             assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
             checked += 1
-        _ok("criterion 2c: policy_grad_psi matches finite differences")
+        _ok("criterion 2c: the policy's psi gradient matches finite differences")
 
     def test_bptt_oracle(self, params, pretrained, grid):
         from roagrow.policy import SatParams, SatPolicy
@@ -192,7 +194,7 @@ def _policy_at_phase(cfg, out, phase):
     """Reconstruct the policy that was current when phase+1 was estimated."""
     from roagrow.experiment import _design_lqr
 
-    k, _ = _design_lqr(cfg, cfg.pendulum_params())
+    k, _ = _design_lqr(cfg)
     pol = cfg.initial_policy(k)
     if phase == 0:
         return pol

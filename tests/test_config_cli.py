@@ -11,8 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 from roagrow.cli import main
 from roagrow.config import (ConfigError, RedesignConfig, dump_config,
                             parse_config, parse_config_text)
+from roagrow.dynamics import PendulumParams
 from roagrow.experiment import (MaskOverlay, MetricsLog, emit_heatmap,
                                 read_metrics, write_report)
+from roagrow.grid import GridDomain
+from roagrow.lyapunov import PDLyapunovNet
+from roagrow.policy import SatParams, SatPolicy, crop_update
+from roagrow.roa_estimator import LevelSetEstimate
 
 from reference import full_grid_level, rows_of
 
@@ -139,6 +144,30 @@ class TestParseConfig:
         slopes = RedesignConfig(variant="slopes").initial_sat_params()
         assert thresholds.trainable == (True, True, False, False)
         assert slopes.trainable == (False, False, True, True)
+
+
+NAN = float("nan")
+# one NaN per checked field of the value types a config builds; RedesignConfig
+# rejects it first, so these checks guard direct construction
+NAN_FIELDS = {
+    **{f"PendulumParams.{k}": (lambda k=k: PendulumParams(**{k: NAN}))
+       for k in ("length", "inertia", "dt", "friction")},
+    **{f"GridDomain.{k}": (lambda k=k: GridDomain(**{k: NAN}))
+       for k in ("theta_min", "theta_max", "omega_min", "omega_max",
+                 "n_theta", "n_omega")},
+    **{f"SatParams.{k}": (lambda k=k: SatParams(**{k: NAN}))
+       for k in ("a", "b", "m_a", "m_b")},
+    "SatPolicy.crop_radius": lambda: SatPolicy(np.zeros(2), SatParams(), NAN),
+    "crop_update.crop_radius": lambda: crop_update(SatParams(), np.zeros(4), NAN),
+    "LevelSetEstimate.c": lambda: LevelSetEstimate(
+        PDLyapunovNet.initialize(np.random.default_rng(0), (2, 2)), NAN),
+}
+
+
+@pytest.mark.parametrize("build", NAN_FIELDS.values(), ids=NAN_FIELDS.keys())
+def test_value_types_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestMetricsLog:

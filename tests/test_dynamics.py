@@ -1,16 +1,19 @@
+import importlib.util
+import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from roagrow.dynamics import (ClosedLoopMap, LinearModel, PendulumParams,
                               RiccatiConvergenceError, closed_loop, dare_lqr,
-                              linearize, out_of_box, pendulum_deriv,
-                              riccati_step, rollout_batch, step_euler,
-                              step_jacobians)
+                              out_of_box, pendulum_deriv, riccati_step,
+                              rollout_batch, step_euler, step_jacobians)
+from roagrow.experiment import _design_lqr
 from roagrow.policy import SatParams, SatPolicy, policy_eval
 
-from reference import reference_step
+from reference import linearize, reference_step
 
 
 @dataclass
@@ -277,6 +280,17 @@ class TestDareLqr:
         m = linearize(lambda s, u: step_euler(s, u, params), np.zeros(2), 0.0)
         residual = p - riccati_step(p, m, np.eye(2), np.array([[1.0]]))
         assert np.max(np.abs(residual)) < 1e-8
+
+    def test_run_gain_is_the_benchmark_gain(self, cfg, monkeypatch):
+        # the benchmark's oracle sweep designs its gain on its own; both use
+        # the analytic step Jacobians, so they agree to the bit
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        assert np.array_equal(_design_lqr(cfg)[0], workloads.lqr_gain(cfg))
 
     def test_nonconvergence_raises(self):
         # uncontrollable unstable mode cannot converge

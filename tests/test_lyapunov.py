@@ -15,6 +15,14 @@ from roagrow.lyapunov import (PDLyapunovNet, PretrainDivergence, Workspace,
 from reference import reference_backward, reference_forward
 
 
+def _pass(net, x, out_weights, extra_weights=None, d_input=False) -> Workspace:
+    """A fresh workspace after one forward and one reverse pass over ``x``."""
+    work = Workspace(net)
+    work.forward(x)
+    work.backward(out_weights, extra_weights, d_input=d_input)
+    return work
+
+
 class TestBuildWeight:
     def test_zero_g1_gives_eps_identity(self):
         w = build_weight(np.zeros((1, 2)), np.zeros((0, 2)), 0.01)
@@ -169,8 +177,7 @@ class TestGradients:
         rng = np.random.default_rng(4)
         net = small_net.copy()
         x = rng.uniform(-1, 1, (3, 2))
-        tape = net.backward(x, np.ones(3))
-        flat_grad = tape.d_params
+        flat_grad = _pass(net, x, np.ones(3)).grad
         theta = net.params.copy()
         h = 1e-5
         for _ in range(20):
@@ -187,10 +194,11 @@ class TestGradients:
     def test_weighted_backward_scales_linearly(self, small_net):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (4, 2))
-        t1 = small_net.backward(x, np.ones(4))
-        t2 = small_net.backward(x, 2.0 * np.ones(4))
-        assert np.allclose(2.0 * t1.d_input, t2.d_input)
-        assert np.allclose(2.0 * t1.d_params, t2.d_params)
+        g1, g2 = (_pass(small_net, x, s * np.ones(4)).grad for s in (1.0, 2.0))
+        assert np.allclose(2.0 * g1, g2)
+        d1, d2 = (_pass(small_net, x, s * np.ones(4), d_input=True).delta[0]
+                  for s in (1.0, 2.0))
+        assert np.allclose(2.0 * d1, d2)
 
 
 # row counts on both sides of the 18-row limit, and one row
@@ -206,14 +214,14 @@ class TestWorkspace:
         rng = np.random.default_rng(n)
         x = rng.uniform(-1.5, 1.5, (n, 2))
         w, extra = rng.normal(size=n), rng.normal(size=(n + 1) // 2)
-        v_ref, tape = reference_forward(small_net, x), reference_backward(
-            small_net, x, w, extra)
-        got = small_net.backward(x, w, extra)
-        assert np.array_equal(Workspace(small_net).forward(x), v_ref)
-        assert np.array_equal(got.d_input, tape.d_input)
-        assert np.array_equal(got.d_params, tape.d_params)
-        assert np.array_equal(got.d_params_extra, tape.d_params_extra)
-        assert small_net.backward(x, w).d_params_extra is None
+        d_input, d_params, d_params_extra = reference_backward(small_net, x, w, extra)
+        got = _pass(small_net, x, w, extra)
+        assert np.array_equal(Workspace(small_net).forward(x),
+                              reference_forward(small_net, x))
+        assert np.array_equal(got.grad, d_params)
+        assert np.array_equal(got.grad_extra, d_params_extra)
+        assert np.array_equal(_pass(small_net, x, w, d_input=True).delta[0],
+                              d_input)
 
     def test_reuse_is_invisible(self, small_net):
         net = small_net.copy()
@@ -247,7 +255,7 @@ class TestWorkspace:
         x = np.random.default_rng(4).uniform(-1, 1, (6, 2))
         v, g = small_net.grad_x(x)
         assert calls == []
-        assert np.array_equal(g, reference_backward(small_net, x, np.ones(6)).d_input)
+        assert np.array_equal(g, reference_backward(small_net, x, np.ones(6))[0])
 
 
 class TestPretraining:

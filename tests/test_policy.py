@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roagrow.policy import (SatParams, SatPolicy, crop_update, policy_eval,
-                            policy_grad_psi, sat, sat_slope)
+                            policy_input, sat, sat_grad_psi, sat_slope)
 
 
 def make_policy(a=0.2, b=-0.2, m_a=0.0, m_b=0.0, k=(1.0, 0.5),
@@ -89,16 +89,22 @@ class TestPolicyEval:
         assert us.shape == (7,)
 
 
+def grad_psi(state, pol):
+    """The control's derivative w.r.t. (a, b, m_a, m_b), composed as the BPTT
+    pass composes it."""
+    return sat_grad_psi(policy_input(state, pol), pol.psi)
+
+
 class TestPolicyGradPsi:
     def test_zero_in_identity_region(self):
         pol = make_policy(k=(0.1, 0.1))
-        g = policy_grad_psi(np.array([0.1, 0.1]), pol)
+        g = grad_psi(np.array([0.1, 0.1]), pol)
         assert np.all(g == 0.0)
 
     def test_piecewise_formula_above(self):
         # z = 0.5 with a = 0.2, m_a = 0: du/da = 1, du/dm_a = 0.3
         pol = make_policy(k=(-1.0, 0.0), m_a=0.0)
-        g = policy_grad_psi(np.array([0.5, 0.0]), pol)
+        g = grad_psi(np.array([0.5, 0.0]), pol)
         assert g[0] == pytest.approx(1.0)
         assert g[2] == pytest.approx(0.3)
         assert g[1] == 0.0 and g[3] == 0.0
@@ -115,7 +121,7 @@ class TestPolicyGradPsi:
             z = -(pol.k @ x)
             if min(abs(z - a), abs(z - b)) < 1e-3:
                 continue
-            grad = policy_grad_psi(x, pol)
+            grad = grad_psi(x, pol)
             vec = psi.as_array()
             fd = np.zeros(4)
             for i in range(4):

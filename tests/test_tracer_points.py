@@ -9,8 +9,8 @@ import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# deleted from roagrow; the tracer still names it, so its metric reads 0
-KNOWN_DEAD = {"policy_updater.signal_diagnostics"}
+# deleted from roagrow; the tracer still names them, so their metrics read 0
+KNOWN_DEAD = {"policy_updater.signal_diagnostics", "lyapunov.backward"}
 
 
 def _tracer():
