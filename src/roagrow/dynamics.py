@@ -44,6 +44,9 @@ class PendulumParams:
             raise ValueError("length, inertia and dt must be positive")
         if not self.friction >= 0:
             raise ValueError("friction must be non-negative")
+        for name in ("g", "length", "inertia", "friction", "dt"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

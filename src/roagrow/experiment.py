@@ -13,17 +13,19 @@ A (config, seed) pair determines every byte of the outputs except
 timings.txt.
 
 The oracle only validates a policy; nothing the run computes next depends on
-its mask until the next phase's estimate is in.  So every policy's oracle but
-the final one runs in one forked child (POSIX ``fork``) while the next phase
-estimates, and its masks and metrics row are written when the parent
-collects it: the files and their bytes are those of a run that waits.
+its mask until the next phase's estimate is in and its policy updated.  So
+every policy's oracle but the final one runs in one forked child (POSIX
+``fork``) while the next phase estimates and updates, and its masks and
+metrics row are written when the parent collects it, followed by that
+phase's growth rows: the files and their bytes are those of a run that
+waits.  The final oracle has nothing beside it and splits its cells over two
+processes (:func:`~roagrow.oracle.true_roa`), so a run never has more than
+two busy processes.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +37,7 @@ from .dynamics import LinearModel, closed_loop, dare_lqr, step_jacobians
 from .grid import GridDomain
 from .lyapunov import (PDLyapunovNet, pretrain_quadratic,
                        quadratic_target, save_net)
-from .oracle import save_mask_csv, save_mask_pgm, true_roa
+from .oracle import _start_in_child, save_mask_csv, save_mask_pgm, true_roa
 from .roa_estimator import (LevelSetEstimate, estimate_roa, gap_ring,
                             line_search_level)
 from .policy_updater import update_policy
@@ -190,61 +192,13 @@ def pretrain_net(cfg: RedesignConfig, grid: GridDomain, rng) -> tuple:
     return net, stats, k_gain, p_mat
 
 
-def _start_in_child(fn, *args):
-    """Call ``fn(*args)`` in a forked child and return a function that waits
-    for it: that function returns the child's result or raises its exception
-    (one that does not pickle as a RuntimeError naming it), and always reaps
-    the child.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                blob = pickle.dumps((True, fn(*args)))
-            except BaseException as exc:
-                try:
-                    blob = pickle.dumps((False, exc))
-                    pickle.loads(blob)
-                except Exception:
-                    blob = pickle.dumps((False, RuntimeError(
-                        f"the oracle child raised an exception that does not "
-                        f"pickle: {exc!r}")))
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(blob)
-            code = 0
-        finally:
-            # no flush of the parent's buffers, no finally blocks of its frames
-            os._exit(code)
-    os.close(write_fd)
-
-    def join():
-        # read to EOF before waiting: a result larger than the pipe buffer
-        # would block the child's write, and so its exit
-        try:
-            with os.fdopen(read_fd, "rb") as fh:
-                blob = fh.read()
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if not blob:
-            raise RuntimeError(f"the oracle child exited without a result "
-                               f"(exit code {os.waitstatus_to_exitcode(status)})")
-        ok, value = pickle.loads(blob)
-        if not ok:
-            raise value
-        return value
-
-    return join
-
-
 def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
     """Execute the full loop, write all artifacts and return their directory.
 
     Partial artifacts survive a failing phase: the metrics CSV is flushed row
     by row, checkpoints are written as soon as they exist, and the oracle of
-    the latest policy is collected and written before the error propagates.
+    the latest policy is collected and written, then the growth rows of a
+    finished estimate, before the error propagates.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,11 +223,12 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
     box = grid.safety_box(cfg.safety_box_factor)
     metrics = MetricsLog(out / "metrics.csv")
     pending = None          # (join, name, row) of the oracle running in a child
+    growth_rows = []        # the latest estimate's rows, written after that oracle's
 
-    def timed_oracle(f):
+    def timed_oracle(f, **split):
         t0 = time.perf_counter()
         mask = true_roa(f, grid, cfg.oracle_kmax, cfg.oracle_ball_radius,
-                        cfg.oracle_confirm_steps, box)
+                        cfg.oracle_confirm_steps, box, **split)
         return mask, time.perf_counter() - t0
 
     def record(name: str, row: dict, mask):
@@ -287,15 +242,17 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
                      row["sat_a"], row["sat_b"], row["sat_ma"], row["sat_mb"])
 
     def check_policy(f, name: str, row: dict, last: bool):
-        """Validate a new policy: in this process when it is the last, so
-        there is nothing to overlap, else in a child collected later."""
+        """Validate a new policy.  The last one has nothing to overlap: its
+        oracle runs now, split over two processes.  Any other runs on one
+        process, in a child collected later."""
         nonlocal pending
         if last:
             mask, seconds = timed_oracle(f)
             note_seconds(name, seconds)
             record(name, row, mask)
         else:
-            pending = (_start_in_child(timed_oracle, f), name, row)
+            pending = (_start_in_child(lambda: timed_oracle(f, processes=1)),
+                       name, row)
 
     def collect():
         nonlocal pending
@@ -307,6 +264,11 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
         note_time(f"{name}_wait", t0)
         record(name, row, mask)
         return mask
+
+    def write_growth_rows():
+        for values in growth_rows:
+            metrics.add(**values)
+        growth_rows.clear()
 
     try:
         t0 = time.perf_counter()
@@ -338,14 +300,22 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
             est, v_grid, growth = estimate_roa(prev_est, v_grid, prev_f, f_cur, cfg,
                                                cfg.batch_size(phase), grid, rng)
             note_time(f"estimate_phase_{phase:02d}", t0)
-            mask = collect()
-            for rec in growth:
-                metrics.add(phase=phase, iter=rec.iteration, kind="growth",
-                            level_c=rec.level, est_fraction=rec.est_fraction,
-                            cbar_fraction=rec.cbar_fraction, loss=rec.loss,
-                            flags="gap_empty" if rec.gap_empty else "")
+            growth_rows[:] = [dict(phase=phase, iter=rec.iteration, kind="growth",
+                                   level_c=rec.level, est_fraction=rec.est_fraction,
+                                   cbar_fraction=rec.cbar_fraction, loss=rec.loss,
+                                   flags="gap_empty" if rec.gap_empty else "")
+                              for rec in growth]
             level_history.append(est.c)
             save_net(est.net, out / "checkpoints" / f"net_phase_{phase:02d}.ckpt")
+
+            t0 = time.perf_counter()
+            policy, rec = update_policy(policy, est, v_grid, f_builder, cfg,
+                                        cfg.batch_size(phase), grid, rng)
+            f_cur = f_builder(policy)
+            note_time(f"policy_phase_{phase:02d}", t0)
+
+            mask = collect()
+            write_growth_rows()
 
             # soundness of the fresh estimate against the matching oracle mask
             est_mask = v_grid < est.c
@@ -356,12 +326,6 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
                                      gap=gap_ring(v_grid, est.c, cfg.gamma_r)),
                          out / "heatmaps" / f"phase_{phase:02d}_roa.ppm",
                          grid.n_theta, grid.n_omega)
-
-            t0 = time.perf_counter()
-            policy, rec = update_policy(policy, est, v_grid, f_builder, cfg,
-                                        cfg.batch_size(phase), grid, rng)
-            f_cur = f_builder(policy)
-            note_time(f"policy_phase_{phase:02d}", t0)
 
             check_policy(f_cur, f"oracle_phase_{phase:02d}", dict(
                 phase=phase, iter=0, kind="policy", level_c=est.c,
@@ -382,12 +346,14 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
         write_report(out)
         note_time("total", t_run)
     except BaseException:
-        # a failing phase still leaves the pending policy's masks and row
+        # a failing phase still leaves the pending policy's masks and row,
+        # then the growth rows of the estimate made beside that oracle
         if pending is not None:
             try:
                 collect()
             except Exception as exc:
                 log.error("the pending oracle failed as well: %r", exc)
+        write_growth_rows()
         raise
     finally:
         timings.close()

@@ -12,6 +12,8 @@ C-ordered array, so the map must not assume C order.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,7 @@ class RoaMask:
 
 
 def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
-             confirm_steps: int = 100, box=None) -> RoaMask:
+             confirm_steps: int = 100, box=None, processes: int = 2) -> RoaMask:
     """Classify every cell center by long forward integration under ``f``.
 
     A cell is attracted when its trajectory gets within ``ball_radius`` of the
@@ -71,6 +73,15 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     assume C order, may return either layout, and is fastest when it keeps
     its input's layout, as :class:`~roagrow.dynamics.ClosedLoopMap` does.
 
+    The cells are dealt into ``p = min(processes, usable CPUs, n_cells)``
+    interleaved parts: part ``i`` holds cells ``i, i + p, i + 2p, ...``.  Part
+    0 runs in the calling process and every other part in a forked child
+    (POSIX ``fork``), so ``f`` needs no pickling but its side effects in a
+    child are lost.  Each cell's steps are the same in any part, so the mask
+    does not depend on ``p``.  An error in any part is raised here once every
+    child is reaped.  Pass ``processes=1`` where other work runs beside the
+    oracle.
+
     ``np.hypot`` runs only on rows inside the square ``max(|theta|, |omega|)
     < 2 * ball_radius``; the others count as infinitely far.  That gives
     every comparison the result hypot would: their true distance is at
@@ -80,13 +91,47 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if processes < 1:
+        raise ValueError("processes must be >= 1")
     if box is None:
         box = grid.safety_box()
 
+    x0 = grid.centers().T
+    p = min(processes, _usable_cpus(), x0.shape[1])
+    rule = (k_max, ball_radius, confirm_steps, box)
+    converged = np.empty(x0.shape[1], dtype=bool)
+    # the children start first, so they run while this process does part 0;
+    # every child is joined whatever failed, and the first error is raised
+    joins, error = [], None
+    try:
+        for i in range(1, p):
+            joins.append(_start_in_child(_classify, f, x0[:, i::p], *rule))
+        converged[::p] = _classify(f, x0[:, ::p], *rule)
+    except BaseException as exc:
+        error = exc
+    for i, join in enumerate(joins, start=1):
+        try:
+            converged[i::p] = join()
+        except BaseException as exc:
+            error = error or exc
+    if error is not None:
+        raise error
+    return RoaMask(converged, grid.n_theta, grid.n_omega)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _classify(f, x0, k_max, ball_radius, confirm_steps, box) -> np.ndarray:
+    """Converged flags of the start states ``x0``, shape ``(2, m)``, by the
+    rule of :func:`true_roa`."""
     # only the rows still running are kept, in ascending cell order: the
     # state (one contiguous row per coordinate), the step it entered the ball
     # on (-1 for a cell starting inside, ``never`` before) and the cell
-    x = np.ascontiguousarray(grid.centers().T)
+    x = np.ascontiguousarray(x0)
     never = np.iinfo(np.int64).max
     entered = np.where(np.hypot(x[0], x[1]) < ball_radius, -1, never)
     idx = np.arange(x.shape[1])
@@ -119,7 +164,56 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
             keep = ~retire
             x, entered, idx = x.compress(keep, axis=1), entered[keep], idx[keep]
 
-    return RoaMask(converged, grid.n_theta, grid.n_omega)
+    return converged
+
+
+def _start_in_child(fn, *args):
+    """Call ``fn(*args)`` in a forked child and return a function that waits
+    for it: that function returns the child's result or raises its exception
+    (one that does not pickle as a RuntimeError naming it), and always reaps
+    the child.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                blob = pickle.dumps((True, fn(*args)))
+            except BaseException as exc:
+                try:
+                    blob = pickle.dumps((False, exc))
+                    pickle.loads(blob)
+                except Exception:
+                    blob = pickle.dumps((False, RuntimeError(
+                        f"the oracle child raised an exception that does not "
+                        f"pickle: {exc!r}")))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(blob)
+            code = 0
+        finally:
+            # no flush of the parent's buffers, no finally blocks of its frames
+            os._exit(code)
+    os.close(write_fd)
+
+    def join():
+        # read to EOF before waiting: a result larger than the pipe buffer
+        # would block the child's write, and so its exit
+        try:
+            with os.fdopen(read_fd, "rb") as fh:
+                blob = fh.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if not blob:
+            raise RuntimeError(f"the oracle child exited without a result "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        return value
+
+    return join
 
 
 # -- mask serialization ------------------------------------------------------

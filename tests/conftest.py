@@ -15,6 +15,19 @@ from roagrow.experiment import _design_lqr, pretrain_net
 from roagrow.lyapunov import PDLyapunovNet
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped: the
+    oracle forks, and a run must reap what it starts on every path."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process "
+                + (f"(reaped now: {pid})" if pid else "that is still running"))
+
+
 @pytest.fixture(scope="session")
 def cfg():
     return RedesignConfig()

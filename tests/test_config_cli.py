@@ -170,6 +170,23 @@ def test_value_types_reject_nan(build):
         build()
 
 
+INF = float("inf")
+# (type, field, value) that only a finiteness check rejects
+NON_FINITE_FIELDS = [
+    *[(PendulumParams, "g", v) for v in (NAN, INF, -INF)],
+    *[(PendulumParams, k, INF) for k in ("length", "inertia", "friction", "dt")],
+    (GridDomain, "theta_min", -INF), (GridDomain, "theta_max", INF),
+    (GridDomain, "omega_min", -INF), (GridDomain, "omega_max", INF),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", NON_FINITE_FIELDS,
+                         ids=[f"{k.__name__}.{f}={v}" for k, f, v in NON_FINITE_FIELDS])
+def test_value_types_reject_non_finite_naming_the_field(kind, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        kind(**{field: value})
+
+
 class TestMetricsLog:
     def test_rows_written_incrementally(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -518,10 +535,70 @@ class TestOracleInChild:
         for name in masks:
             assert (cut / "masks" / name).read_bytes() == (full / "masks" / name).read_bytes()
 
+    def test_failing_update_still_writes_the_growth_rows(self, tmp_path, monkeypatch):
+        import roagrow.experiment as experiment
+
+        cfg = RedesignConfig(**TINY_FORKED)
+        full = tmp_path / "full"
+        experiment.run_redesign(cfg, out_dir=full)
+
+        real, calls = experiment.update_policy, []
+
+        def fail_in_phase_2(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("phase 2 update failed")
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "update_policy", fail_in_phase_2)
+        cut = tmp_path / "cut"
+        with pytest.raises(RuntimeError, match="phase 2 update failed"):
+            experiment.run_redesign(cfg, out_dir=cut)
+        _assert_no_child_left()
+
+        # the phase-1 policy row, collected in the handler, then every growth
+        # row of the phase-2 estimate
+        rows = (cut / "metrics.csv").read_text().splitlines()
+        assert rows == (full / "metrics.csv").read_text().splitlines()[:len(rows)]
+        tail = rows[-cfg.growth_iters - 1:]
+        assert tail[0].startswith("1,0,policy,")
+        assert all(r.startswith("2,") and ",growth," in r for r in tail[1:])
+        names = ["oracle_baseline", "oracle_phase_01"]
+        masks = sorted(p.name for p in (cut / "masks").iterdir())
+        assert masks == sorted(f"{n}.{ext}" for n in names for ext in ("csv", "pgm"))
+        for name in masks:
+            assert (cut / "masks" / name).read_bytes() == (full / "masks" / name).read_bytes()
+
+    def test_only_the_final_oracle_splits(self, tmp_path, monkeypatch):
+        import roagrow.experiment as experiment
+
+        # (in a child, processes) per oracle call: the forked ones run beside
+        # estimation and must not split, the final one has the cores to itself
+        calls, in_child = [], [False]
+
+        def in_process(fn, *args):
+            in_child[0] = True
+            try:
+                result = fn(*args)
+            finally:
+                in_child[0] = False
+            return lambda: result
+
+        real = experiment.true_roa
+
+        def spy(*args, **kwargs):
+            calls.append((in_child[0], kwargs.get("processes")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_start_in_child", in_process)
+        monkeypatch.setattr(experiment, "true_roa", spy)
+        experiment.run_redesign(RedesignConfig(**TINY_FORKED), out_dir=tmp_path)
+        assert calls == [(True, 1)] * TINY_FORKED["phases"] + [(False, None)]
+
     def test_child_error_surfaces_in_parent(self, tmp_path, monkeypatch):
         import roagrow.experiment as experiment
 
-        def boom(*args):
+        def boom(*args, **kwargs):
             raise ValueError(f"boom in process {os.getpid()}")
 
         monkeypatch.setattr(experiment, "true_roa", boom)
@@ -565,9 +642,9 @@ class TestOracleInChild:
         lines = (tmp_path / "timings.txt").read_text().splitlines()
         assert all(re.fullmatch(r"[a-z0-9_]+ \d+\.\d{3}s", ln) for ln in lines)
         assert [ln.split()[0] for ln in lines] == [
-            "pretrain", "estimate_phase_01", "oracle_baseline", "oracle_baseline_wait",
-            "policy_phase_01", "estimate_phase_02", "oracle_phase_01",
-            "oracle_phase_01_wait", "policy_phase_02", "oracle_phase_02", "total"]
+            "pretrain", "estimate_phase_01", "policy_phase_01", "oracle_baseline",
+            "oracle_baseline_wait", "estimate_phase_02", "policy_phase_02",
+            "oracle_phase_01", "oracle_phase_01_wait", "oracle_phase_02", "total"]
         phase_lines = [r.getMessage() for r in caplog.records
                        if r.getMessage().startswith("phase ")]
         assert [m.split(":")[0] for m in phase_lines] == ["phase 1", "phase 2"]

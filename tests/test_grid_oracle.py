@@ -1,6 +1,10 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
+import roagrow.oracle as oracle
 from roagrow.dynamics import rollout_batch
 from roagrow.grid import GridDomain
 from roagrow.oracle import (RoaMask, load_mask_pgm, save_mask_csv,
@@ -246,6 +250,72 @@ class TestTrueRoa:
         finals, diverged = rollout_batch(nan_map, x0s, 3, SMALL_GRID.safety_box())
         assert diverged.all()
         assert np.array_equal(finals, x0s)
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Let ``true_roa`` use as many parts as it is asked for."""
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 64)
+
+
+_REFERENCE = {}
+
+
+class TestSplitOracle:
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_per_cell_rule(self, case, processes, f_initial, many_cpus):
+        f, k_max, ball_radius, confirm_steps = ORACLE_CASES[case]
+        f = f or f_initial
+        if case not in _REFERENCE:
+            _REFERENCE[case] = reference_roa(f, SMALL_GRID, k_max, ball_radius,
+                                             confirm_steps, SMALL_GRID.safety_box())
+        got = true_roa(f, SMALL_GRID, k_max=k_max, ball_radius=ball_radius,
+                       confirm_steps=confirm_steps, processes=processes)
+        assert np.array_equal(got.values, _REFERENCE[case])
+
+    def test_initial_policy_mask_same_bytes(self, f_initial, grid, cfg, many_cpus):
+        masks = [true_roa(f_initial, grid, cfg.oracle_kmax, processes=p).values
+                 for p in (1, 2, 3)]
+        assert 0.0 < masks[0].mean() < 1.0
+        assert masks[1].tobytes() == masks[0].tobytes()
+        assert masks[2].tobytes() == masks[0].tobytes()
+
+    def test_parts_capped_by_cpus_and_cells(self, monkeypatch):
+        forks = []
+        start = oracle._start_in_child
+        monkeypatch.setattr(oracle, "_start_in_child",
+                            lambda *args: forks.append(1) or start(*args))
+        tiny = GridDomain(n_theta=2, n_omega=2)
+        for cpus, processes, grid, children in ((1, 2, SMALL_GRID, 0),
+                                                (8, 3, SMALL_GRID, 2),
+                                                (8, 8, tiny, 3)):
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            mask = true_roa(lambda x: 0.5 * x, grid, k_max=20, processes=processes)
+            assert mask.fraction == 1.0
+            assert len(forks) == children
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_error_in_a_part_reaches_the_caller(self, part, many_cpus):
+        # part 0 holds the even cells and runs here, part 1 the odd ones; the
+        # conftest fails the test if the child is left unreaped
+        poison = SMALL_GRID.centers()[part]
+
+        def f(x):
+            if (x == poison).all(axis=1).any():
+                raise LookupError(f"poisoned cell in process {os.getpid()}")
+            return 0.9 * x
+
+        with pytest.raises(LookupError, match=r"poisoned cell in process") as err:
+            true_roa(f, SMALL_GRID, k_max=20, ball_radius=0.1, confirm_steps=3,
+                     processes=2)
+        pid = int(re.search(r"process (\d+)", str(err.value)).group(1))
+        assert (pid == os.getpid()) == (part == 0)
+
+    def test_processes_below_one_rejected(self):
+        with pytest.raises(ValueError, match="processes"):
+            true_roa(lambda x: 0.5 * x, SMALL_GRID, k_max=20, processes=0)
 
 
 class TestMeasures:
