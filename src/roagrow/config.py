@@ -27,6 +27,11 @@ class ConfigError(ValueError):
     """Bad configuration; the message names the offending key (and line)."""
 
 
+# the value-type fields whose config key has another name
+_FIELD_KEYS = {"g": "gravity", "n_theta": "grid_cells", "n_omega": "grid_cells",
+               "a": "sat_a", "b": "sat_b", "m_a": "sat_slope_a", "m_b": "sat_slope_b"}
+
+
 @dataclass(frozen=True)
 class RedesignConfig:
     # pendulum
@@ -101,20 +106,15 @@ class RedesignConfig:
             # a float or bool would dump as text that does not parse as an int
             if f.type == "int" and not (type(value) is int or isinstance(value, np.integer)):
                 raise ConfigError(f"config key '{f.name}' expects int, got {value!r}")
+        # the value types check their fields, each message starting with one
+        try:
+            self.pendulum_params(), self.grid(), self.initial_policy(np.zeros(2))
+        except ValueError as exc:
+            field, why = str(exc).split(" ", 1)
+            raise ConfigError(f"config key '{_FIELD_KEYS.get(field, field)}' {why}") from exc
         checks = [
-            (self.dt > 0, "dt", "must be positive"),
-            (self.length > 0, "length", "must be positive"),
-            (self.inertia > 0, "inertia", "must be positive"),
-            (self.friction >= 0, "friction", "must be non-negative"),
-            (self.theta_min < self.theta_max, "theta_min", "must be below theta_max"),
-            (self.omega_min < self.omega_max, "omega_min", "must be below omega_max"),
-            (self.grid_cells >= 2, "grid_cells", "must be >= 2"),
             (self.lqr_q > 0, "lqr_q", "must be positive"),
             (self.lqr_r > 0, "lqr_r", "must be positive"),
-            (self.sat_b <= self.sat_a, "sat_b", "must not exceed sat_a"),
-            (self.sat_slope_a >= 0, "sat_slope_a", "must be non-negative"),
-            (self.sat_slope_b >= 0, "sat_slope_b", "must be non-negative"),
-            (self.crop_radius > 0, "crop_radius", "must be positive"),
             (self.variant in VARIANTS, "variant", f"must be one of {VARIANTS}"),
             (self.pd_eps > 0, "pd_eps", "must be positive"),
             (self.pretrain_target in ("lqr", "isotropic"), "pretrain_target",

@@ -2,8 +2,8 @@
 
 States are plain numpy arrays: a single state is shape ``(2,)`` holding
 ``(theta, omega)`` and a batch is shape ``(n, 2)``.  Every operation here is a
-pure function of its inputs, so all of them are safe to call concurrently and
-to vectorize over batches.
+pure function of its inputs, safe to call concurrently.  :func:`roll_forward`
+is the one loop that rolls batches forward, for the oracle and the labels.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = [
     "step_euler",
     "step_jacobians",
     "closed_loop",
-    "rollout_batch",
+    "roll_forward",
     "out_of_box",
     "dare_lqr",
 ]
@@ -40,13 +40,14 @@ class PendulumParams:
     dt: float = 0.01
 
     def __post_init__(self):
-        if not (self.length > 0 and self.inertia > 0 and self.dt > 0):
-            raise ValueError("length, inertia and dt must be positive")
-        if not self.friction >= 0:
-            raise ValueError("friction must be non-negative")
         for name in ("g", "length", "inertia", "friction", "dt"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("length", "inertia", "dt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.friction >= 0:
+            raise ValueError("friction must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -146,24 +147,63 @@ def out_of_box(states: np.ndarray, box) -> np.ndarray:
     return ~((tlo <= th) & (th <= thi) & (wlo <= om) & (om <= whi))
 
 
-def rollout_batch(f, x0s: np.ndarray, steps: int, box):
-    """Advance a batch of states ``steps`` times, freezing diverged rows.
+def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box):
+    """Roll the states ``x0``, shape ``(2, m)``, forward under ``f``, retiring
+    each row on the step it converges or fails.
 
-    Returns ``(finals, diverged)`` where ``finals[i]`` is the last in-box
-    state of sample ``i`` and ``diverged`` marks rows that left the box.
+    A row converges when it gets within ``ball_radius`` of the origin within
+    ``k_max`` steps and stays within ``2 * ball_radius`` for the next
+    ``confirm_steps`` steps, and fails on leaving ``box``.  The ball test is
+    strict, so with ``ball_radius = 0`` a row retires only by leaving the box.
+    ``f`` must be row-wise; each step passes it the rows still running, in
+    ascending order, as an ``(m, 2)`` view with contiguous columns, so it must
+    not assume C order (:class:`ClosedLoopMap` keeps the layout, the fast case).
+
+    ``np.hypot`` runs only on rows inside the square ``max(|theta|, |omega|)
+    < 2 * ball_radius``: a faithfully rounded hypot of any other row is at
+    least ``2 * ball_radius`` too, so inf stands in for it.  A NaN row fails.
+
+    Returns ``(converged, running, x)``: the flags of every row, the rows
+    still running after ``k_max + confirm_steps`` steps, in ascending order,
+    and their states, shape ``(2, len(running))``.
     """
-    x = np.array(x0s, dtype=float)
-    diverged = np.zeros(len(x), dtype=bool)
-    for _ in range(steps):
-        alive = ~diverged
-        if not alive.any():
+    # only the rows still running are kept, in ascending order: the state
+    # (one contiguous row per coordinate), the step it entered the ball on
+    # (-1 for a row starting inside, ``never`` before) and the row's index
+    x = np.ascontiguousarray(x0)
+    never = np.iinfo(np.int64).max
+    entered = np.where(np.hypot(x[0], x[1]) < ball_radius, -1, never)
+    idx = np.arange(x.shape[1])
+    converged = np.zeros(len(idx), dtype=bool)
+    wait = max(confirm_steps, 1)       # entered on step j: confirmed on j + wait
+
+    for k in range(k_max + confirm_steps):
+        if len(idx) == 0:
             break
-        xn = np.asarray(f(x[alive]), dtype=float)
-        out = out_of_box(xn, box)
-        idx = np.flatnonzero(alive)
-        diverged[idx[out]] = True
-        x[idx[~out]] = xn[~out]
-    return x, diverged
+        x = f(x.T).T
+        # hypot only inside the square; outside it inf stands in
+        near = np.abs(x) < 2 * ball_radius
+        near = np.logical_and(near[0], near[1], out=near[0])
+        nrm = np.hypot(x[0], x[1], out=np.full(len(idx), np.inf), where=near)
+        # confirmation first: rows that entered on an earlier step must stay
+        # within twice the ball radius until they are confirmed
+        confirming = entered < k
+        failed = out_of_box(x.T, box)
+        failed |= confirming & (nrm >= 2 * ball_radius)
+        conv = entered <= k - wait
+        conv &= ~failed
+        if k < k_max:
+            entered[~confirming & (nrm < ball_radius)] = k
+        else:
+            # past the budget only confirmation may continue
+            failed |= ~confirming
+        retire = np.logical_or(failed, conv, out=failed)
+        if retire.any():
+            converged[idx[conv]] = True
+            keep = ~retire
+            x, entered, idx = x.compress(keep, axis=1), entered[keep], idx[keep]
+
+    return converged, idx, x
 
 
 def riccati_step(p_mat: np.ndarray, m: LinearModel, q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -182,14 +182,15 @@ def pretrain_target_values(cfg: RedesignConfig, grid: GridDomain, p_mat):
 
 
 def pretrain_net(cfg: RedesignConfig, grid: GridDomain, rng) -> tuple:
-    """Initialize and pretrain the Lyapunov net per the configuration."""
+    """Initialize and pretrain the Lyapunov net per the configuration; returns
+    ``(net, stats, k_gain)``, with the LQR gain the target came from."""
     k_gain, p_mat = _design_lqr(cfg)
     net = PDLyapunovNet.initialize(rng, cfg.net_widths(), cfg.pd_eps)
     stats = pretrain_quadratic(net, grid.centers(),
                                pretrain_target_values(cfg, grid, p_mat), rng,
                                lr=cfg.pretrain_lr, steps=cfg.pretrain_steps,
                                batch=cfg.pretrain_batch)
-    return net, stats, k_gain, p_mat
+    return net, stats, k_gain
 
 
 def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
@@ -272,7 +273,7 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
 
     try:
         t0 = time.perf_counter()
-        net, pre, k_gain, _ = pretrain_net(cfg, grid, rng)
+        net, pre, k_gain = pretrain_net(cfg, grid, rng)
         policy = cfg.initial_policy(k_gain)
         f_builder = lambda pol: closed_loop(pol, params)
         f_cur = f_builder(policy)

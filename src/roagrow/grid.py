@@ -25,13 +25,15 @@ class GridDomain:
     n_omega: int = 100
 
     def __post_init__(self):
-        if not (self.theta_min < self.theta_max and self.omega_min < self.omega_max):
-            raise ValueError("domain bounds must be ordered")
         for name in ("theta_min", "theta_max", "omega_min", "omega_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.n_theta >= 2 and self.n_omega >= 2):
-            raise ValueError("need at least 2 cells per dimension")
+        for lo, hi in (("theta_min", "theta_max"), ("omega_min", "omega_max")):
+            if not getattr(self, lo) < getattr(self, hi):
+                raise ValueError(f"{lo} must be below {hi}")
+        for name in ("n_theta", "n_omega"):
+            if not getattr(self, name) >= 2:
+                raise ValueError(f"{name} must be >= 2")
 
     @property
     def n_cells(self) -> int:

@@ -3,11 +3,10 @@
 Every grid cell is integrated forward under the closed-loop map; a cell
 counts as attracted when its trajectory enters a small ball around the origin
 within the step budget and then stays inside twice that radius for a
-confirmation window.  The work is embarrassingly parallel over cells: the map
-must be row-wise (each output row depends only on its input row), and the
-oracle passes it compacted batches of the cells still running, in ascending
-cell order.  A batch is an ``(m, 2)`` view with contiguous columns, not a
-C-ordered array, so the map must not assume C order.
+confirmation window.  The cells roll forward in
+:func:`~roagrow.dynamics.roll_forward`, the loop that also labels the
+estimator's samples; the work is embarrassingly parallel over cells, so the
+cells may be split over forked processes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import out_of_box
+from .dynamics import roll_forward
 from .grid import GridDomain
 
 __all__ = [
@@ -63,15 +62,8 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     A cell is attracted when its trajectory gets within ``ball_radius`` of the
     origin within ``k_max`` steps and stays within ``2 * ball_radius`` for the
     following ``confirm_steps`` steps.  Trajectories leaving the safety box
-    are classified as not attracted.
-
-    ``f`` maps an ``(m, 2)`` batch of states to the next states and must be
-    row-wise: each output row depends only on its input row.  Each step passes
-    it only the rows of cells still running, in ascending cell order; a cell
-    retires on the step it converges or fails.  The batch is the transpose of
-    a C-ordered ``(2, m)`` array, with contiguous columns: ``f`` must not
-    assume C order, may return either layout, and is fastest when it keeps
-    its input's layout, as :class:`~roagrow.dynamics.ClosedLoopMap` does.
+    are classified as not attracted.  ``f`` must meet the contract of
+    :func:`~roagrow.dynamics.roll_forward`, the loop the cells roll in.
 
     The cells are dealt into ``p = min(processes, usable CPUs, n_cells)``
     interleaved parts: part ``i`` holds cells ``i, i + p, i + 2p, ...``.  Part
@@ -81,13 +73,6 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     does not depend on ``p``.  An error in any part is raised here once every
     child is reaped.  Pass ``processes=1`` where other work runs beside the
     oracle.
-
-    ``np.hypot`` runs only on rows inside the square ``max(|theta|, |omega|)
-    < 2 * ball_radius``; the others count as infinitely far.  That gives
-    every comparison the result hypot would: their true distance is at
-    least the float ``max(|theta|, |omega|) >= 2 * ball_radius``, so a
-    faithfully rounded hypot is too.  A row holding a NaN lies outside the
-    square and outside the box, and fails.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -105,13 +90,13 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     joins, error = [], None
     try:
         for i in range(1, p):
-            joins.append(_start_in_child(_classify, f, x0[:, i::p], *rule))
-        converged[::p] = _classify(f, x0[:, ::p], *rule)
+            joins.append(_start_in_child(roll_forward, f, x0[:, i::p], *rule))
+        converged[::p] = roll_forward(f, x0[:, ::p], *rule)[0]
     except BaseException as exc:
         error = exc
     for i, join in enumerate(joins, start=1):
         try:
-            converged[i::p] = join()
+            converged[i::p] = join()[0]
         except BaseException as exc:
             error = error or exc
     if error is not None:
@@ -125,48 +110,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _classify(f, x0, k_max, ball_radius, confirm_steps, box) -> np.ndarray:
-    """Converged flags of the start states ``x0``, shape ``(2, m)``, by the
-    rule of :func:`true_roa`."""
-    # only the rows still running are kept, in ascending cell order: the
-    # state (one contiguous row per coordinate), the step it entered the ball
-    # on (-1 for a cell starting inside, ``never`` before) and the cell
-    x = np.ascontiguousarray(x0)
-    never = np.iinfo(np.int64).max
-    entered = np.where(np.hypot(x[0], x[1]) < ball_radius, -1, never)
-    idx = np.arange(x.shape[1])
-    converged = np.zeros(len(idx), dtype=bool)
-    wait = max(confirm_steps, 1)       # entered on step j: confirmed on j + wait
-
-    for k in range(k_max + confirm_steps):
-        if len(idx) == 0:
-            break
-        x = f(x.T).T
-        # hypot only inside the square; outside it inf stands in
-        near = np.abs(x) < 2 * ball_radius
-        near = np.logical_and(near[0], near[1], out=near[0])
-        nrm = np.hypot(x[0], x[1], out=np.full(len(idx), np.inf), where=near)
-        # confirmation first: rows that entered on an earlier step must stay
-        # within twice the ball radius until they are confirmed
-        confirming = entered < k
-        failed = out_of_box(x.T, box)
-        failed |= confirming & (nrm >= 2 * ball_radius)
-        conv = entered <= k - wait
-        conv &= ~failed
-        if k < k_max:
-            entered[~confirming & (nrm < ball_radius)] = k
-        else:
-            # past the budget only confirmation may continue
-            failed |= ~confirming
-        retire = np.logical_or(failed, conv, out=failed)
-        if retire.any():
-            converged[idx[conv]] = True
-            keep = ~retire
-            x, entered, idx = x.compress(keep, axis=1), entered[keep], idx[keep]
-
-    return converged
-
-
 def _start_in_child(fn, *args):
     """Call ``fn(*args)`` in a forked child and return a function that waits
     for it: that function returns the child's result or raises its exception
@@ -174,7 +117,12 @@ def _start_in_child(fn, *args):
     the child.
     """
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         code = 1
         try:

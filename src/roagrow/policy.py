@@ -36,11 +36,12 @@ class SatParams:
 
     def __post_init__(self):
         if not self.b <= self.a:
-            raise ValueError("saturation requires b <= a")
-        if not (self.m_a >= 0 and self.m_b >= 0):
-            raise ValueError("outer slopes must be non-negative")
+            raise ValueError("b must not exceed a")
+        for name in ("m_a", "m_b"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if len(self.trainable) != 4:
-            raise ValueError("trainable mask must cover (a, b, m_a, m_b)")
+            raise ValueError("trainable must cover (a, b, m_a, m_b)")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.m_a, self.m_b])
@@ -63,7 +64,7 @@ class SatPolicy:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.k)):
-            raise ValueError("gain must be finite")
+            raise ValueError("k must be finite")
         if not self.crop_radius > 0:
             raise ValueError("crop_radius must be positive")
 

@@ -2,11 +2,11 @@
 
 One call of :func:`estimate_roa` runs the full growth loop for the current
 policy: sample initial states from a gap ring around the running estimate,
-label them by a short rollout, take SGD steps on the four-term training loss,
-then line-search the level value so the decrease condition holds on the whole
-estimated set.  The line search evaluates V at the images of the cells in V
-order and stops at the first block that holds a violation, so it rarely
-needs V at more than one block of the grid's images.
+label them by a short rollout in the oracle's loop, ``dynamics.roll_forward``,
+take SGD steps on the four-term training loss, then line-search the level so
+the decrease condition holds on the whole estimated set.  The line search
+evaluates V at the cells' images in V order and stops at the first block
+that holds a violation, so it rarely needs more than one block of images.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RedesignConfig
-from .dynamics import rollout_batch
+from .dynamics import roll_forward
 from .grid import GridDomain
 from .lyapunov import VALUE_BLOCK, PDLyapunovNet, Workspace
 
@@ -114,12 +114,18 @@ def label_batch(x0s: np.ndarray, f_pi, est: LevelSetEstimate,
                 rollout_steps: int, box) -> LabeledBatch:
     """Split the batch by whether the rollout's final state lands in S_c.
 
-    Divergence-flagged rollouts are always labeled out.
+    Rows roll forward in :func:`~roagrow.dynamics.roll_forward` with a
+    radius-0 ball, so a row retires, labeled out, only by leaving ``box``.
+    V runs on the whole batch in order, since its low bits depend on the
+    batch size.
     """
     if rollout_steps < 1:
         raise ValueError("rollout_steps must be >= 1")
-    finals, diverged = rollout_batch(f_pi, x0s, rollout_steps, box)
-    inside = (est.net.value(finals) < est.c) & ~diverged
+    _, running, x = roll_forward(f_pi, x0s.T, rollout_steps, 0.0, 0, box)
+    finals = np.array(x0s, dtype=float)
+    finals[running] = x.T
+    inside = np.zeros(len(x0s), dtype=bool)
+    inside[running] = est.net.value(finals)[running] < est.c
     return LabeledBatch(x_in=x0s[inside], x_out=x0s[~inside])
 
 

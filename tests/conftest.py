@@ -68,8 +68,7 @@ def small_net():
 def pretrained(cfg, grid):
     """Fully pretrained net (session-scoped, ~10 s)."""
     rng = np.random.default_rng(cfg.seed)
-    net, stats, k, p = pretrain_net(cfg, grid, rng)
-    return net, stats, k, p
+    return pretrain_net(cfg, grid, rng)
 
 
 @pytest.fixture(scope="session")

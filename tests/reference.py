@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from roagrow.dynamics import LinearModel
+from roagrow.dynamics import LinearModel, out_of_box
 from roagrow.experiment import read_metrics
 from roagrow.grid import GridDomain
 from roagrow.oracle import RoaMask
@@ -157,6 +157,26 @@ def gap_growth_check(c: float, alphas, grid: GridDomain) -> dict:
         rel = abs(counted - predicted) / predicted if predicted > 0 else 0.0
         out[alpha] = (counted, predicted, rel)
     return out
+
+
+def rollout_batch(f, x0s: np.ndarray, steps: int, box):
+    """Advance a batch of states ``steps`` times, freezing diverged rows.
+
+    Returns ``(finals, diverged)`` where ``finals[i]`` is the last in-box
+    state of sample ``i`` and ``diverged`` marks rows that left the box.
+    """
+    x = np.array(x0s, dtype=float)
+    diverged = np.zeros(len(x), dtype=bool)
+    for _ in range(steps):
+        alive = ~diverged
+        if not alive.any():
+            break
+        xn = np.asarray(f(x[alive]), dtype=float)
+        out = out_of_box(xn, box)
+        idx = np.flatnonzero(alive)
+        diverged[idx[out]] = True
+        x[idx[~out]] = xn[~out]
+    return x, diverged
 
 
 def reference_step(x, pol, params) -> np.ndarray:

@@ -33,3 +33,26 @@ def test_lines_sorted_and_timings_left_out(tmp_path):
     assert artifact_digest.digest_lines(tmp_path) == lines
     (tmp_path / "metrics.csv").write_bytes(b"m2")
     assert artifact_digest.combined_digest(artifact_digest.digest_lines(tmp_path)) != combined
+
+
+def test_one_block_per_named_run(monkeypatch, capsys):
+    runs = []
+
+    def fake_run(cfg, out_dir):
+        runs.append(cfg.variant)
+        (Path(out_dir) / "metrics.csv").write_bytes(b"m")
+        (Path(out_dir) / "timings.txt").write_bytes(b"t")
+
+    monkeypatch.setattr(artifact_digest, "run_redesign", fake_run)
+    assert artifact_digest.main(["run-early", "run-early-slopes"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    line = f"metrics.csv {sha(b'm')}"
+    combined = f"combined {sha(line.encode())}"
+    assert out == ["# run-early", line, combined,
+                   "# run-early-slopes", line, combined]
+    assert runs == ["thresholds", "slopes"]
+
+    assert artifact_digest.main([]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln for ln in out if ln.startswith("# ")] == [
+        f"# {run}" for run in artifact_digest.RUNS]

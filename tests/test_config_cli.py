@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from roagrow.cli import main
-from roagrow.config import (ConfigError, RedesignConfig, dump_config,
-                            parse_config, parse_config_text)
+from roagrow.config import (_FIELD_KEYS, ConfigError, RedesignConfig,
+                            dump_config, parse_config, parse_config_text)
 from roagrow.dynamics import PendulumParams
 from roagrow.experiment import (MaskOverlay, MetricsLog, emit_heatmap,
                                 read_metrics, write_report)
@@ -26,8 +26,9 @@ def _keys_of(kind: str) -> list:
     return [f.name for f in fields(RedesignConfig) if f.type == kind]
 
 
-# one violating value per entry of the check table in
-# RedesignConfig.__post_init__, every other key at its default
+# one violating value per rule a config key must meet, every other key at its
+# default: the rules of the check table in RedesignConfig.__post_init__ and
+# those of the value types it builds
 VIOLATIONS = {
     "dt": 0.0, "length": 0.0, "inertia": -0.25, "friction": -0.1,
     "theta_min": 2.0, "omega_min": 7.0, "grid_cells": 1, "lqr_q": 0.0,
@@ -63,11 +64,19 @@ class TestParseConfig:
             RedesignConfig(**{key: VIOLATIONS[key]})
 
     def test_violations_cover_the_check_table(self):
-        # the keys the checks name, read from their ("key", "why") pairs
+        # the keys the checks name, read from their ("key", "why") pairs, and
+        # the keys of the value-type fields, through the field-to-key map;
+        # no rule is stated in both places
         source = inspect.getsource(RedesignConfig.__post_init__)
         checked = re.findall(r'"(\w+)",\s*f?"must', source)
-        assert len(checked) == len(set(checked)) == len(VIOLATIONS)
-        assert set(checked) == set(VIOLATIONS)
+        built = {_FIELD_KEYS.get(f.name, f.name)
+                 for kind in (PendulumParams, GridDomain, SatParams, SatPolicy)
+                 for f in fields(kind)}
+        assert len(checked) == len(set(checked))
+        assert set(checked).isdisjoint(built)
+        assert set(checked) <= set(VIOLATIONS)
+        assert set(VIOLATIONS) - set(checked) <= built
+        assert len(VIOLATIONS) == 44
 
     def test_defaults_follow_the_paper_schedule(self, cfg):
         # the batch schedule the README states; the estimator and policy
@@ -185,6 +194,27 @@ NON_FINITE_FIELDS = [
 def test_value_types_reject_non_finite_naming_the_field(kind, field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite"):
         kind(**{field: value})
+
+
+# (type, field, value) for every check of the value types a config builds
+FIELD_CHECKS = [
+    *[(PendulumParams, k, 0.0) for k in ("length", "inertia", "dt")],
+    (PendulumParams, "friction", -0.1), (PendulumParams, "g", NAN),
+    (GridDomain, "theta_min", 2.0), (GridDomain, "omega_min", 7.0),
+    (GridDomain, "theta_max", INF), (GridDomain, "n_theta", 1),
+    (GridDomain, "n_omega", 1), (SatParams, "b", 0.3), (SatParams, "m_a", -0.1),
+    (SatParams, "m_b", -0.1), (SatParams, "trainable", (True,)),
+    (SatPolicy, "k", np.array([NAN, 0.0])), (SatPolicy, "crop_radius", 0.0),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", FIELD_CHECKS,
+                         ids=[f"{k.__name__}.{f}" for k, f, _ in FIELD_CHECKS])
+def test_value_type_messages_start_with_the_field(kind, field, value):
+    # the config turns the leading field into its key
+    args = dict(k=np.zeros(2), psi=SatParams()) if kind is SatPolicy else {}
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        kind(**{**args, field: value})
 
 
 class TestMetricsLog:
@@ -617,6 +647,24 @@ class TestOracleInChild:
         with pytest.raises(RuntimeError, match=r"does not pickle: TwoArgError\('first'\)"):
             join()
         _assert_no_child_left()
+
+    def test_failed_fork_closes_both_pipe_ends(self, monkeypatch):
+        import roagrow.oracle as oracle
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd")
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with pytest.raises(BlockingIOError, match="fork refused"):
+                oracle.true_roa(lambda x: 0.5 * x, GridDomain(n_theta=4, n_omega=4),
+                                k_max=5, processes=2)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_result_larger_than_a_pipe_buffer(self):
         from roagrow.experiment import _start_in_child

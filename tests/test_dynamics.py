@@ -9,11 +9,11 @@ import pytest
 from roagrow.dynamics import (ClosedLoopMap, LinearModel, PendulumParams,
                               RiccatiConvergenceError, closed_loop, dare_lqr,
                               out_of_box, pendulum_deriv, riccati_step,
-                              rollout_batch, step_euler, step_jacobians)
+                              step_euler, step_jacobians)
 from roagrow.experiment import _design_lqr
 from roagrow.policy import SatParams, SatPolicy, policy_eval
 
-from reference import linearize, reference_step
+from reference import linearize, reference_step, rollout_batch
 
 
 @dataclass

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 import roagrow.oracle as oracle
-from roagrow.dynamics import rollout_batch
 from roagrow.grid import GridDomain
 from roagrow.oracle import (RoaMask, load_mask_pgm, save_mask_csv,
                             save_mask_pgm, true_roa)
 
-from reference import gap_growth_check, sym_diff_measure
+from reference import gap_growth_check, rollout_batch, sym_diff_measure
 
 
 class TestGridDomain:

@@ -268,13 +268,13 @@ class TestPretraining:
         assert np.array_equal(net.params, before)
 
     def test_mse_drops_tenfold(self, pretrained, grid):
-        net, stats, _, _ = pretrained
+        net, stats, _ = pretrained
         assert stats["final_mse"] < stats["initial_mse"] / 10.0
 
-    def test_level_sets_track_target(self, pretrained, grid, cfg):
+    def test_level_sets_track_target(self, pretrained, lqr, grid, cfg):
         from roagrow.experiment import pretrain_target_values
 
-        net, _, _, p_mat = pretrained
+        net, p_mat = pretrained[0], lqr[1]
         v = net.value(grid.centers())
         target = pretrain_target_values(cfg, grid, p_mat)
         corr = np.corrcoef(v, target)[0, 1]

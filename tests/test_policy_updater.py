@@ -3,13 +3,13 @@ import pytest
 from dataclasses import replace
 
 import roagrow.policy_updater as policy_updater
-from roagrow.dynamics import ClosedLoopMap, closed_loop, rollout_batch
+from roagrow.dynamics import ClosedLoopMap, closed_loop
 from roagrow.policy import SatParams, SatPolicy
 from roagrow.policy_updater import (_diagnostics, _rollout_tape, bptt,
                                     sample_policy_batch, update_policy)
 from roagrow.roa_estimator import LevelSetEstimate
 
-from reference import cell_index, jacobian_product_norms
+from reference import cell_index, jacobian_product_norms, rollout_batch
 
 BIG_BOX = ((-1e9, 1e9), (-1e9, 1e9))
 

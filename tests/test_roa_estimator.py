@@ -11,7 +11,8 @@ from roagrow.roa_estimator import (DegenerateLevelError, LevelSetEstimate,
                                    estimate_roa, label_batch, line_search_level,
                                    sample_mixture, _loss_batch, _roa_loss_grad)
 
-from reference import cell_index, full_grid_level, reference_backward, roa_loss
+from reference import (cell_index, full_grid_level, reference_backward, roa_loss,
+                       rollout_batch)
 
 
 class QuadV:
@@ -114,6 +115,32 @@ class TestLabelBatch:
         box = ((-1.0, 1.0), (-1.0, 1.0))
         lab = label_batch(np.array([[0.9, 0.9]]), expand, est, 10, box)
         assert len(lab.x_out) == 1
+
+    @pytest.mark.parametrize("size", [1, 10, 18, 19, 200])
+    @pytest.mark.parametrize("factor", [1.0, 10.0])
+    @pytest.mark.parametrize("nan_map", [False, True])
+    def test_reference_rule_byte_for_byte(self, size, factor, nan_map, small_net,
+                                          f_initial, grid):
+        # the labels of rollout_batch's rule: in when V(finals) < c and the
+        # rollout stayed in the box; V's bits depend on the batch size, so
+        # both evaluate it on the whole batch
+        def f(x):
+            y = f_initial(x)
+            if nan_map:
+                y[np.abs(y[:, 1]) > 4.0] = np.nan
+            return y
+
+        box = grid.safety_box(factor)
+        x0s = np.random.default_rng(size).uniform([-1.5, -6.0], [1.5, 6.0],
+                                                  (size, 2))
+        for steps in (1, 10, 100):
+            finals, diverged = rollout_batch(f, x0s, steps, box)
+            v = small_net.value(finals)
+            c = float(np.median(v[~diverged])) if (~diverged).any() else 1.0
+            inside = (v < c) & ~diverged
+            lab = label_batch(x0s, f, LevelSetEstimate(small_net, c), steps, box)
+            assert lab.x_in.tobytes() == x0s[inside].tobytes()
+            assert lab.x_out.tobytes() == x0s[~inside].tobytes()
 
     def test_partition_is_exact(self, f_initial, grid):
         rng = np.random.default_rng(4)

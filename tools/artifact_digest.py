@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Byte-identity digest of a run's artifacts.
 
-    python3 tools/artifact_digest.py run-early [--seed 1]
+    python3 tools/artifact_digest.py [run ...] [--seed 1]
 
-Runs ``run_redesign`` for ``run-early``, ``run-late`` or ``run-early-slopes``
-(``run-early`` with ``variant = slopes``) into a temporary directory, with the
-configs of ``perfbench/workloads.py`` and BLAS pinned to one thread.  Prints
-``relpath sha256`` for every artifact but ``timings.txt``, sorted, then
-``combined <sha256>``: the sha256 of those lines joined by newlines.  Two
-checkouts that print the same combined digest wrote the same bytes.
+Runs ``run_redesign`` for each named run, ``run-early``, ``run-late`` or
+``run-early-slopes`` (``run-early`` with ``variant = slopes``), all three
+when none is named, into a temporary directory, with the configs of
+``perfbench/workloads.py`` and BLAS pinned to one thread.  Prints one block
+per run: a ``# <run>`` line, ``relpath sha256`` for every artifact but
+``timings.txt``, sorted, then ``combined <sha256>``: the sha256 of those
+lines joined by newlines.  Two checkouts that print the same combined digest
+for a run wrote the same bytes.
 """
 
 import os
@@ -58,14 +60,20 @@ def combined_digest(lines) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("run", choices=RUNS)
+    ap.add_argument("runs", nargs="*", metavar="run",
+                    help=f"one of {', '.join(RUNS)}; all three by default")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="roagrow-digest-") as tmp:
-        run_redesign(run_config(args.run, args.seed), tmp)
-        lines = digest_lines(tmp)
-    print("\n".join(lines))
-    print(f"combined {combined_digest(lines)}")
+    unknown = [run for run in args.runs if run not in RUNS]
+    if unknown:
+        ap.error(f"unknown run {unknown[0]!r}; choose from {', '.join(RUNS)}")
+    for run in args.runs or RUNS:
+        with tempfile.TemporaryDirectory(prefix="roagrow-digest-") as tmp:
+            run_redesign(run_config(run, args.seed), tmp)
+            lines = digest_lines(tmp)
+        print(f"# {run}")
+        print("\n".join(lines))
+        print(f"combined {combined_digest(lines)}", flush=True)
     return 0
 
 
