@@ -147,6 +147,15 @@ def out_of_box(states: np.ndarray, box) -> np.ndarray:
     return ~((tlo <= th) & (th <= thi) & (wlo <= om) & (om <= whi))
 
 
+# The tail of a rollout: once at most TAIL_ROWS rows run, a step's
+# bookkeeping costs about as much as the map, so the rows are stepped
+# TAIL_BLOCK steps at a time and the rule runs once per block.  While more rows
+# run, each step retires its rows at once: fewer map calls on rows already
+# settled, and no block of states held.
+TAIL_ROWS = 256
+TAIL_BLOCK = 32
+
+
 def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box):
     """Roll the states ``x0``, shape ``(2, m)``, forward under ``f``, retiring
     each row on the step it converges or fails.
@@ -155,9 +164,19 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
     ``k_max`` steps and stays within ``2 * ball_radius`` for the next
     ``confirm_steps`` steps, and fails on leaving ``box``.  The ball test is
     strict, so with ``ball_radius = 0`` a row retires only by leaving the box.
-    ``f`` must be row-wise; each step passes it the rows still running, in
-    ascending order, as an ``(m, 2)`` view with contiguous columns, so it must
-    not assume C order (:class:`ClosedLoopMap` keeps the layout, the fast case).
+    ``f`` must be row-wise; each call passes it rows in ascending order as an
+    ``(m, 2)`` view, so it must not assume C order.  The view's columns are
+    contiguous in the blocks below, and in every step when ``f`` returns its
+    input's layout (:class:`ClosedLoopMap` does, the fast case).
+
+    While more than ``TAIL_ROWS`` rows run, every call gets exactly the rows
+    still running.  From then on the rows are stepped in blocks of up to
+    ``TAIL_BLOCK`` steps, each within the budget ``k_max`` or past it, and
+    the rule is applied to the whole block: a row retires on the step the
+    per-step rule would retire it, but ``f`` goes on seeing it to the end of
+    the block, for at most ``TAIL_BLOCK - 1`` steps, and its results there
+    are discarded.  Since ``f`` is row-wise, no verdict or state depends on
+    the body that rolled it.
 
     ``np.hypot`` runs only on rows inside the square ``max(|theta|, |omega|)
     < 2 * ball_radius``: a faithfully rounded hypot of any other row is at
@@ -176,10 +195,9 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
     idx = np.arange(x.shape[1])
     converged = np.zeros(len(idx), dtype=bool)
     wait = max(confirm_steps, 1)       # entered on step j: confirmed on j + wait
+    k, end = 0, k_max + confirm_steps
 
-    for k in range(k_max + confirm_steps):
-        if len(idx) == 0:
-            break
+    while k < end and len(idx) > TAIL_ROWS:
         x = f(x.T).T
         # hypot only inside the square; outside it inf stands in
         near = np.abs(x) < 2 * ball_radius
@@ -202,6 +220,43 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
             converged[idx[conv]] = True
             keep = ~retire
             x, entered, idx = x.compress(keep, axis=1), entered[keep], idx[keep]
+        k += 1
+
+    # the tail, a block at a time: block[j] holds the states after step k + j
+    buf = np.empty((TAIL_BLOCK, 2, min(len(idx), TAIL_ROWS)))
+    while k < end and len(idx):
+        m = len(idx)
+        block = buf[:min(TAIL_BLOCK, (k_max if k < k_max else end) - k), :, :m]
+        for j in range(len(block)):
+            block[j] = f((block[j - 1] if j else x).T).T
+        near = np.abs(block) < 2 * ball_radius
+        near = np.logical_and(near[:, 0], near[:, 1], out=near[:, 0])
+        nrm = np.hypot(block[:, 0], block[:, 1], out=np.full(near.shape, np.inf),
+                       where=near)
+        step = np.arange(k, k + len(block))[:, None]
+        cols = np.arange(m)
+        if k < k_max:
+            # a row not yet in the ball enters on its first step inside it
+            inside = nrm < ball_radius
+            first = inside.argmax(axis=0)
+            entered = np.where((entered == never) & inside[first, cols],
+                               k + first, entered)
+        # the per-step rule on every step of the block at once
+        confirming = entered < step
+        failed = out_of_box(block.transpose(0, 2, 1), box)
+        failed |= confirming & (nrm >= 2 * ball_radius)
+        conv = entered <= step - wait
+        conv &= ~failed
+        if k >= k_max:
+            # past the budget only confirmation may continue
+            failed |= ~confirming
+        retire = np.logical_or(failed, conv, out=failed)
+        # each row retires on its first retiring step
+        at = retire.argmax(axis=0)
+        converged[idx[conv[at, cols]]] = True
+        keep = ~retire[at, cols]
+        x, entered, idx = block[-1].compress(keep, axis=1), entered[keep], idx[keep]
+        k += len(block)
 
     return converged, idx, x
 

@@ -63,7 +63,9 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     origin within ``k_max`` steps and stays within ``2 * ball_radius`` for the
     following ``confirm_steps`` steps.  Trajectories leaving the safety box
     are classified as not attracted.  ``f`` must meet the contract of
-    :func:`~roagrow.dynamics.roll_forward`, the loop the cells roll in.
+    :func:`~roagrow.dynamics.roll_forward`, the loop the cells roll in: it
+    is row-wise, and once a part has ``TAIL_ROWS`` or fewer cells running it
+    may see a settled cell for up to ``TAIL_BLOCK - 1`` more steps.
 
     The cells are dealt into ``p = min(processes, usable CPUs, n_cells)``
     interleaved parts: part ``i`` holds cells ``i, i + p, i + 2p, ...``.  Part

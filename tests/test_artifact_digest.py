@@ -4,6 +4,9 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import roagrow.dynamics as dynamics
+from roagrow.config import RedesignConfig
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_digest.py"
 _spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
 artifact_digest = importlib.util.module_from_spec(_spec)
@@ -56,3 +59,18 @@ def test_one_block_per_named_run(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [ln for ln in out if ln.startswith("# ")] == [
         f"# {run}" for run in artifact_digest.RUNS]
+
+
+def test_tail_blocks_keep_every_artifact_byte(tmp_path, monkeypatch):
+    # the oracle's 200-row parts and the labels run in blocks of steps by
+    # default; TAIL_ROWS at 0 runs every step on its own
+    cfg = RedesignConfig(grid_cells=20, pretrain_steps=50, pretrain_batch=32,
+                         roa_sgd_steps=20, growth_iters=2, policy_sgd_steps=3,
+                         oracle_kmax=1000, phases=1, seed=1)
+    assert cfg.grid().n_cells / 2 <= dynamics.TAIL_ROWS
+    artifact_digest.run_redesign(cfg, tmp_path / "blocks")
+    monkeypatch.setattr(dynamics, "TAIL_ROWS", 0)
+    artifact_digest.run_redesign(cfg, tmp_path / "per_step")
+    lines = artifact_digest.digest_lines(tmp_path / "blocks")
+    assert any(line.startswith("masks/") for line in lines)
+    assert lines == artifact_digest.digest_lines(tmp_path / "per_step")

@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
+import roagrow.dynamics as dynamics
 import roagrow.oracle as oracle
+from roagrow.dynamics import roll_forward
 from roagrow.grid import GridDomain
 from roagrow.oracle import (RoaMask, load_mask_pgm, save_mask_csv,
                             save_mask_pgm, true_roa)
@@ -72,6 +74,16 @@ def _land(p):
     return lambda x: np.broadcast_to(p, x.shape).copy()
 
 
+def _creep(x):
+    # a state off the theta axis, or beyond 0.3, restarts at (0.05, 0) in the
+    # 0.1-ball; on the axis theta creeps by 0.015 inside the ball, by 0.05
+    # beyond it: in the ball on steps 0 to 3, beyond twice it from step 6
+    th = x[:, 0]
+    restart = (x[:, 1] != 0) | (th < 0.04) | (th > 0.3)
+    th = np.where(restart, 0.05, th + np.where(th < 0.1, 0.015, 0.05))
+    return np.stack([th, np.zeros(len(x))], axis=1)
+
+
 def _hop(p):
     # states alternate between the origin and p: p decides whether a cell
     # that entered the ball escapes twice its radius during confirmation
@@ -113,10 +125,25 @@ ORACLE_CASES = {
     "box_before_return": (_bounce, 12, 0.1, 3),
     "halve": (lambda x: 0.5 * x, 5, 0.1, 4),
     "escape_in_confirmation": (_kick, 20, 0.1, 10),
+    # confirmed on step 5, before it escapes: only the first entry counts
+    "confirmed_before_escape": (_creep, 20, 0.1, 5),
     "no_confirmation": (lambda x: 0.8 * x, 15, 0.1, 0),
     "starts_inside": (lambda x: 1.2 * x, 10, 0.6, 3),
     "initial_pendulum": (None, 300, 0.1, 20),
 }
+
+
+# (TAIL_ROWS, TAIL_BLOCK): TAIL_ROWS at 0 makes every step of roll_forward
+# run the per-step body; at the cell count, the block body.  Blocks of 3 steps
+# put many block edges inside the budgets and confirmation windows
+BODIES = {"per_step": (0, 32), "blocks": (SMALL_GRID.n_cells, 32),
+          "short_blocks": (SMALL_GRID.n_cells, 3)}
+
+
+def use_body(monkeypatch, body):
+    tail_rows, tail_block = BODIES[body]
+    monkeypatch.setattr(dynamics, "TAIL_ROWS", tail_rows)
+    monkeypatch.setattr(dynamics, "TAIL_BLOCK", tail_block)
 
 
 def reference_roa(f, grid, k_max, ball_radius, confirm_steps, box):
@@ -152,6 +179,22 @@ def reference_roa(f, grid, k_max, ball_radius, confirm_steps, box):
     return np.array(attracted)
 
 
+_REFERENCE = {}
+
+
+def check_case(case, f_initial, **kw):
+    """Assert that ``true_roa`` gives the per-cell rule's mask for an
+    ``ORACLE_CASES`` entry; the rule's mask is computed once per case."""
+    f, k_max, ball_radius, confirm_steps = ORACLE_CASES[case]
+    f = f or f_initial
+    if case not in _REFERENCE:
+        _REFERENCE[case] = reference_roa(f, SMALL_GRID, k_max, ball_radius,
+                                         confirm_steps, SMALL_GRID.safety_box())
+    got = true_roa(f, SMALL_GRID, k_max=k_max, ball_radius=ball_radius,
+                   confirm_steps=confirm_steps, **kw)
+    assert np.array_equal(got.values, _REFERENCE[case])
+
+
 class TestTrueRoa:
     def test_global_contraction_is_full(self, grid):
         mask = true_roa(lambda x: 0.5 * x, grid, k_max=200)
@@ -183,13 +226,7 @@ class TestTrueRoa:
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_per_cell_rule(self, case, f_initial):
-        f, k_max, ball_radius, confirm_steps = ORACLE_CASES[case]
-        f = f or f_initial
-        box = SMALL_GRID.safety_box()
-        expect = reference_roa(f, SMALL_GRID, k_max, ball_radius, confirm_steps, box)
-        got = true_roa(f, SMALL_GRID, k_max=k_max, ball_radius=ball_radius,
-                       confirm_steps=confirm_steps)
-        assert np.array_equal(got.values, expect)
+        check_case(case, f_initial)
 
     def test_edge_cases_hit_both_verdicts(self):
         # a state on the ball's rim does not enter it and one on twice the
@@ -200,15 +237,19 @@ class TestTrueRoa:
             inside = name.endswith("_below") and not name.startswith("square")
             assert mask.fraction == (1.0 if inside else 0.0), name
 
-    def test_map_gets_contiguous_columns(self):
-        seen = []
+    def test_map_gets_contiguous_columns(self, monkeypatch):
+        # the block body copies each result into its buffer, so even a map
+        # that returns C order gets contiguous columns there
+        for body, order in (("per_step", "K"), ("blocks", "C")):
+            use_body(monkeypatch, body)
+            seen = []
 
-        def spy(x):
-            seen.append(x[:, 0].flags.c_contiguous and x[:, 1].flags.c_contiguous)
-            return 0.9 * x
+            def spy(x):
+                seen.append(x[:, 0].flags.c_contiguous and x[:, 1].flags.c_contiguous)
+                return np.asarray(0.9 * x, order=order)
 
-        true_roa(spy, SMALL_GRID, k_max=20, ball_radius=0.1, confirm_steps=3)
-        assert len(seen) > 1 and all(seen)
+            true_roa(spy, SMALL_GRID, k_max=20, ball_radius=0.1, confirm_steps=3)
+            assert len(seen) > 1 and all(seen), body
 
     def test_hypot_never_below_larger_magnitude(self):
         # the property the oracle's hypot prefilter rests on
@@ -257,21 +298,46 @@ def many_cpus(monkeypatch):
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 64)
 
 
-_REFERENCE = {}
+class TestTailBlocks:
+    @pytest.mark.parametrize("body", sorted(BODIES))
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_both_bodies_match_per_cell_rule(self, case, body, f_initial,
+                                             monkeypatch):
+        use_body(monkeypatch, body)
+        check_case(case, f_initial)
+
+    # (k_max, ball_radius, confirm_steps, box factor): the oracle's rule, and
+    # the labels' rule, under which some rows are still running at the end
+    @pytest.mark.parametrize("rule", [(1010, 0.1, 20, 10.0), (300, 0.0, 0, 2.0)],
+                             ids=["oracle", "labels"])
+    def test_bodies_agree_across_the_threshold(self, rule, f_initial, monkeypatch):
+        # 400 rows start above TAIL_ROWS and fall below it mid-run, so the
+        # default switches bodies; forced per-step gives the same bytes
+        grid = GridDomain(n_theta=20, n_omega=20)
+        k_max, ball_radius, confirm_steps, factor = rule
+        rule = (k_max, ball_radius, confirm_steps, grid.safety_box(factor))
+        rows = []
+
+        def spy(x):
+            rows.append(len(x))
+            return f_initial(x)
+
+        default = roll_forward(spy, grid.centers().T, *rule)
+        tail_steps = sum(n <= dynamics.TAIL_ROWS for n in rows)
+        assert rows[0] > dynamics.TAIL_ROWS and tail_steps > dynamics.TAIL_BLOCK
+        monkeypatch.setattr(dynamics, "TAIL_ROWS", 0)
+        per_step = roll_forward(f_initial, grid.centers().T, *rule)
+        assert default[0].any() or len(default[1])
+        for got, want in zip(default, per_step):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSplitOracle:
     @pytest.mark.parametrize("processes", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_per_cell_rule(self, case, processes, f_initial, many_cpus):
-        f, k_max, ball_radius, confirm_steps = ORACLE_CASES[case]
-        f = f or f_initial
-        if case not in _REFERENCE:
-            _REFERENCE[case] = reference_roa(f, SMALL_GRID, k_max, ball_radius,
-                                             confirm_steps, SMALL_GRID.safety_box())
-        got = true_roa(f, SMALL_GRID, k_max=k_max, ball_radius=ball_radius,
-                       confirm_steps=confirm_steps, processes=processes)
-        assert np.array_equal(got.values, _REFERENCE[case])
+        check_case(case, f_initial, processes=processes)
 
     def test_initial_policy_mask_same_bytes(self, f_initial, grid, cfg, many_cpus):
         masks = [true_roa(f_initial, grid, cfg.oracle_kmax, processes=p).values

@@ -123,7 +123,8 @@ class TestLabelBatch:
                                           f_initial, grid):
         # the labels of rollout_batch's rule: in when V(finals) < c and the
         # rollout stayed in the box; V's bits depend on the batch size, so
-        # both evaluate it on the whole batch
+        # both evaluate it on the whole batch.  The horizons end inside the
+        # tail's blocks of steps and on their edges
         def f(x):
             y = f_initial(x)
             if nan_map:
@@ -133,7 +134,7 @@ class TestLabelBatch:
         box = grid.safety_box(factor)
         x0s = np.random.default_rng(size).uniform([-1.5, -6.0], [1.5, 6.0],
                                                   (size, 2))
-        for steps in (1, 10, 100):
+        for steps in (1, 10, 31, 32, 33, 100):
             finals, diverged = rollout_batch(f, x0s, steps, box)
             v = small_net.value(finals)
             c = float(np.median(v[~diverged])) if (~diverged).any() else 1.0
