@@ -15,8 +15,7 @@ __all__ = [
     "SatParams",
     "SatPolicy",
     "sat",
-    "sat_slope",
-    "sat_grad_psi",
+    "sat_derivs",
     "policy_input",
     "policy_eval",
     "project_psi",
@@ -77,30 +76,25 @@ def sat(z, psi: SatParams):
     return out
 
 
-def sat_slope(z, psi: SatParams):
-    """d sat / dz.  At the kinks the identity branch is used."""
-    z = np.asarray(z, dtype=float)
-    return np.where(z > psi.a, psi.m_a, np.where(z < psi.b, psi.m_b, 1.0))
+def sat_derivs(z, psi: SatParams, out: np.ndarray | None = None):
+    """``(d sat/dz, d sat/d(a, b, m_a, m_b))``, both from one pair of branch
+    masks; the kinks take the identity branch.
 
-
-def sat_grad_psi(z, psi: SatParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact piecewise derivative of sat(z) w.r.t. (a, b, m_a, m_b).
-
-    Zero on the closed identity band (kinks take the identity branch);
-    for z > a: d/da = 1 - m_a, d/dm_a = z - a; mirrored for z < b.
-    The trainable mask is *not* applied here; callers mask as needed.
-    Shape is ``(..., 4)`` in (a, b, m_a, m_b) order, written into ``out``
-    when it is given.
+    The slope is exactly ``m_a`` above ``a``, ``m_b`` below ``b`` and 1.0 on
+    the closed identity band.  The ψ-gradient is zero on the band; for
+    z > a: d/da = 1 - m_a, d/dm_a = z - a; mirrored for z < b.  Its shape is
+    ``(..., 4)`` in (a, b, m_a, m_b) order, written into ``out`` when it is
+    given.  The trainable mask is *not* applied here; callers mask as needed.
     """
     z = np.asarray(z, dtype=float)
-    grad = np.empty(z.shape + (4,), dtype=float) if out is None else out
     hi = z > psi.a
     lo = z < psi.b
+    grad = np.empty(z.shape + (4,), dtype=float) if out is None else out
     grad[..., 0] = np.where(hi, 1.0 - psi.m_a, 0.0)
     grad[..., 2] = np.where(hi, z - psi.a, 0.0)
     grad[..., 1] = np.where(lo, 1.0 - psi.m_b, 0.0)
     grad[..., 3] = np.where(lo, z - psi.b, 0.0)
-    return grad
+    return np.where(hi, psi.m_a, np.where(lo, psi.m_b, 1.0)), grad
 
 
 def policy_input(state, pol: SatPolicy):

@@ -19,7 +19,7 @@ from .config import RedesignConfig
 from .dynamics import out_of_box, step_euler, step_jacobians
 from .grid import GridDomain
 from .policy import (SatPolicy, crop_update, policy_input, project_psi, sat,
-                     sat_grad_psi, sat_slope)
+                     sat_derivs)
 from .roa_estimator import LevelSetEstimate, draw_mixture, gap_ring
 
 __all__ = [
@@ -64,42 +64,39 @@ def sample_policy_batch(v_grid: np.ndarray, c: float, cfg: RedesignConfig,
 
 
 def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
-    """Forward pass storing everything the reverse pass needs.
+    """Forward pass storing what the reverse pass needs: each step's Jacobian
+    and du/dpsi.  df/du does not depend on the state and is not taped.
 
-    Each step forms the saturation input z = -K x once; the step Jacobian,
-    du/dpsi and the next state, which has the bits of ``clm(x)``, all come
-    from it, and the first two go straight into the tape.  Diverged rows
-    freeze at their last in-box state; their remaining step Jacobians become
-    the identity and their control sensitivities vanish, so the reverse
-    products truncate there automatically.
+    Each step forms the saturation input z = -K x once; one ``sat_derivs``
+    call gives the slope and du/dpsi, and the next state, which has the bits
+    of ``clm(x)``, comes from z too.  Diverged rows freeze at their last
+    in-box state; their remaining step Jacobians become the identity and
+    their du/dpsi vanishes, so the reverse products truncate there.
     """
     n = len(x0s)
     x = np.array(x0s, dtype=float)
     alive = np.ones(n, dtype=bool)
     jacs = np.empty((steps, n, 2, 2))
-    psi_push = np.empty((steps, n, 4))  # (dfdu . g) uses this via du/dpsi
-    dfdu_dot = np.empty((steps, n, 2))
+    psi_push = np.empty((steps, n, 4))  # du/dpsi, which dL/du pushes onto psi
     eye = np.eye(2)
     pol, psi = clm.policy, clm.policy.psi
     for k in range(steps):
         dfdx, dfdu = step_jacobians(x, clm.params)
         z = policy_input(x, pol)
-        du_dx = sat_slope(z, psi)[:, None] * (-pol.k)[None, :]
+        slope, du_dpsi = sat_derivs(z, psi, out=psi_push[k])
+        du_dx = slope[:, None] * (-pol.k)[None, :]
         jac = np.multiply(dfdu[None, :, None], du_dx[:, None, :], out=jacs[k])
         jac += dfdx
-        du_dpsi = sat_grad_psi(z, psi, out=psi_push[k])
         xn = step_euler(x, sat(z, psi), clm.params)
         out = out_of_box(xn, box)
         frozen = ~alive | out
-        dfdu_dot[k] = dfdu
         if frozen.any():
             jac[frozen] = eye
             du_dpsi[frozen] = 0.0
-            dfdu_dot[k][frozen] = 0.0
             xn[frozen] = x[frozen]
             alive &= ~out
         x = xn
-    return x, ~alive, jacs, psi_push, dfdu_dot
+    return x, ~alive, jacs, psi_push
 
 
 def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
@@ -114,8 +111,8 @@ def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
     is dL/dx_T per sample.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float)).reshape(-1, 2)
-    finals, diverged, jacs, psi_push, dfdu_dot = _rollout_tape(
-        clm, x0s, steps, box)
+    finals, diverged, jacs, psi_push = _rollout_tape(clm, x0s, steps, box)
+    dfdu = step_jacobians(np.zeros(2), clm.params)[1]     # (2,), state-free
     v_final, dv_final = est.net.grad_x(finals)
     weights = np.where(v_final < est.c, 1.0, lambda_u)
     weights[diverged] = lambda_u
@@ -124,8 +121,7 @@ def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
     grad = np.zeros(4)
     g = g_final.copy()
     for k in range(steps - 1, -1, -1):
-        push = np.einsum("ni,ni->n", g, dfdu_dot[k])      # dL/du at step k
-        grad += push @ psi_push[k]
+        grad += (g @ dfdu) @ psi_push[k]                  # dL/du at step k
         g = np.einsum("ni,nij->nj", g, jacs[k])
     grad *= clm.policy.psi.mask()
     if not np.all(np.isfinite(grad)):

@@ -253,9 +253,8 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
         labeled = label_batch(x0s, f_pi, LevelSetEstimate(net, c),
                               cfg.rollout_steps_r, box)
         x_in, x_out = labeled.x_in, labeled.x_out
-        xin_next = f_pi(x_in) if len(x_in) else x_in
-        prev_vals = (prev_est.net.value(prev_f(x_in)) if len(x_in)
-                     else np.zeros(0))
+        xin_next = f_pi(x_in)
+        prev_vals = prev_est.net.value(prev_f(x_in))
         x, weights = _loss_batch(x_in, x_out, xin_next, cfg)
         loss = 0.0
         for _ in range(steps_per_iter):

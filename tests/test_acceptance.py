@@ -77,7 +77,7 @@ class TestCriterion2GradientOracles:
         _ok("criterion 2b: grad_params matches finite differences")
 
     def test_policy_grad_oracle(self):
-        from roagrow.policy import SatParams, SatPolicy, policy_input, sat_grad_psi
+        from roagrow.policy import SatParams, SatPolicy, policy_input, sat_derivs
 
         rng = np.random.default_rng(23)
         h = 1e-6
@@ -91,7 +91,7 @@ class TestCriterion2GradientOracles:
             z = float(-(pol.k @ x))
             if min(abs(z - a), abs(z - b)) < 1e-3:
                 continue
-            grad = sat_grad_psi(policy_input(x, pol), pol.psi)
+            grad = sat_derivs(policy_input(x, pol), pol.psi)[1]
             vec = psi.as_array()
             fd = np.zeros(4)
             for i in range(4):

@@ -15,7 +15,8 @@ from roagrow.dynamics import PendulumParams
 from roagrow.experiment import (MaskOverlay, MetricsLog, emit_heatmap,
                                 read_metrics, write_report)
 from roagrow.grid import GridDomain
-from roagrow.lyapunov import PDLyapunovNet
+from roagrow.lyapunov import PDLyapunovNet, pretrain_quadratic, quadratic_target
+from roagrow.oracle import true_roa
 from roagrow.policy import SatParams, SatPolicy, crop_update
 from roagrow.roa_estimator import LevelSetEstimate
 
@@ -215,6 +216,39 @@ def test_value_type_messages_start_with_the_field(kind, field, value):
     args = dict(k=np.zeros(2), psi=SatParams()) if kind is SatPolicy else {}
     with pytest.raises(ValueError, match=rf"^{field} must"):
         kind(**{**args, field: value})
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+class TestLibraryDefaults:
+    """Each library default that mirrors a config default equals it, so a
+    default changed in one place fails here instead of drifting apart."""
+
+    cfg = RedesignConfig()
+
+    def test_value_types(self):
+        assert PendulumParams() == self.cfg.pendulum_params()
+        assert GridDomain() == self.cfg.grid()
+        assert SatParams() == self.cfg.initial_sat_params()
+        assert _default(SatPolicy, "crop_radius") == self.cfg.crop_radius
+        assert _default(GridDomain.safety_box, "factor") == self.cfg.safety_box_factor
+
+    def test_oracle(self):
+        assert ((_default(true_roa, "k_max"), _default(true_roa, "ball_radius"),
+                 _default(true_roa, "confirm_steps"))
+                == (self.cfg.oracle_kmax, self.cfg.oracle_ball_radius,
+                    self.cfg.oracle_confirm_steps))
+
+    def test_net_and_pretraining(self):
+        assert _default(PDLyapunovNet.initialize, "widths") == self.cfg.net_widths()
+        assert _default(PDLyapunovNet.initialize, "eps") == self.cfg.pd_eps
+        assert ((_default(pretrain_quadratic, "lr"), _default(pretrain_quadratic, "steps"),
+                 _default(pretrain_quadratic, "batch"))
+                == (self.cfg.pretrain_lr, self.cfg.pretrain_steps,
+                    self.cfg.pretrain_batch))
+        assert _default(quadratic_target, "coeff") == self.cfg.pretrain_coeff
 
 
 class TestMetricsLog:

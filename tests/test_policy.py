@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roagrow.policy import (SatParams, SatPolicy, crop_update, policy_eval,
-                            policy_input, sat, sat_grad_psi, sat_slope)
+                            policy_input, sat, sat_derivs)
 
 
 def make_policy(a=0.2, b=-0.2, m_a=0.0, m_b=0.0, k=(1.0, 0.5),
@@ -92,7 +92,7 @@ class TestPolicyEval:
 def grad_psi(state, pol):
     """The control's derivative w.r.t. (a, b, m_a, m_b), composed as the BPTT
     pass composes it."""
-    return sat_grad_psi(policy_input(state, pol), pol.psi)
+    return sat_derivs(policy_input(state, pol), pol.psi)[1]
 
 
 class TestPolicyGradPsi:
@@ -134,6 +134,14 @@ class TestPolicyGradPsi:
             assert np.abs(grad - fd).max() / scale < 1e-5
             checked += 1
 
+    def test_written_into_out(self):
+        psi = SatParams(a=0.2, b=-0.2, m_a=0.5, m_b=0.3)
+        z = np.array([-1.0, 0.0, 1.0])
+        out = np.full((3, 4), np.nan)
+        grad = sat_derivs(z, psi, out=out)[1]
+        assert grad is out
+        assert np.array_equal(grad, sat_derivs(z, psi)[1])
+
 
 def _sat_raw(z, v):
     a, b, m_a, m_b = v
@@ -147,14 +155,14 @@ def _sat_raw(z, v):
 class TestSatSlope:
     def test_branch_values(self):
         psi = SatParams(a=0.2, b=-0.2, m_a=0.5, m_b=0.3)
-        assert sat_slope(0.0, psi) == 1.0
-        assert sat_slope(1.0, psi) == 0.5
-        assert sat_slope(-1.0, psi) == 0.3
+        assert sat_derivs(0.0, psi)[0] == 1.0
+        assert sat_derivs(1.0, psi)[0] == 0.5
+        assert sat_derivs(-1.0, psi)[0] == 0.3
 
     def test_kinks_use_identity_branch(self):
         psi = SatParams(a=0.2, b=-0.2, m_a=0.0, m_b=0.0)
-        assert sat_slope(0.2, psi) == 1.0
-        assert sat_slope(-0.2, psi) == 1.0
+        assert sat_derivs(0.2, psi)[0] == 1.0
+        assert sat_derivs(-0.2, psi)[0] == 1.0
 
 
 class TestCropUpdate:

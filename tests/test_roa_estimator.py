@@ -4,6 +4,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 import roagrow.lyapunov as lyapunov
+import roagrow.roa_estimator as roa_estimator
 from roagrow.config import RedesignConfig
 from roagrow.grid import GridDomain
 from roagrow.lyapunov import VALUE_BLOCK, Workspace
@@ -540,3 +541,29 @@ class TestEstimateRoa:
                      short.batch_size(1), grid, np.random.default_rng(2))
         assert rows.count(grid.n_cells) == short.growth_iters
         assert sum(rows) < 2 * short.growth_iters * grid.n_cells
+
+    def test_every_sample_labelled_out(self, pretrained, pretrained_level, grid,
+                                       cfg, monkeypatch):
+        # a map that leaves the safety box in one step: no sample is labelled
+        # in, so the in-rows, their images and the monotonicity targets are
+        # empty batches
+        def escape(x):
+            return np.asarray(x, dtype=float) + 100.0
+
+        label = roa_estimator.label_batch
+        n_in = []
+
+        def spy(*args):
+            labeled = label(*args)
+            n_in.append(len(labeled.x_in))
+            return labeled
+
+        monkeypatch.setattr(roa_estimator, "label_batch", spy)
+        prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
+        short = replace(cfg, growth_iters=3, roa_sgd_steps=30)
+        _, _, records = estimate_roa(prev, pretrained_level[0], escape, escape,
+                                     short, short.batch_size(1), grid,
+                                     np.random.default_rng(5))
+        assert n_in == [0] * short.growth_iters
+        assert [r.iteration for r in records] == [1, 2, 3]
+        assert all(np.isfinite(r.loss) for r in records)
