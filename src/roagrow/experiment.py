@@ -294,11 +294,11 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
             sat_ma=policy.psi.m_a, sat_mb=policy.psi.m_b, flags=""),
             last=cfg.phases == 0)
 
-        prev_est, prev_f = est, f_cur
+        prev_est = est
         level_history = []
         for phase in range(1, cfg.phases + 1):
             t0 = time.perf_counter()
-            est, v_grid, growth = estimate_roa(prev_est, v_grid, prev_f, f_cur, cfg,
+            est, v_grid, growth = estimate_roa(prev_est, v_grid, f_cur, cfg,
                                                cfg.batch_size(phase), grid, rng)
             note_time(f"estimate_phase_{phase:02d}", t0)
             growth_rows[:] = [dict(phase=phase, iter=rec.iteration, kind="growth",
@@ -338,7 +338,7 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
                 unsound_fraction=unsound,
                 flags="gap_empty" if rec.gap_empty else ""),
                 last=phase == cfg.phases)
-            prev_est, prev_f = est, f_cur
+            prev_est = est
 
         if cfg.phases > 1 and (abs(level_history[-1] - 1.0)
                                >= abs(level_history[0] - 1.0)):

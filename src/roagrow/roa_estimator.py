@@ -151,7 +151,7 @@ def _roa_loss_grad(work: Workspace, x, weights, prev_vals, cfg: RedesignConfig):
     monotonicity:     lambda_monot * sum_in (V(x) - prev_vals)^2
 
     ``xin_next`` holds f_pi(x_in) and ``prev_vals`` the frozen target
-    V_prev(f_prev(x_in)), one value per row of ``x_in``; no gradient reaches
+    V_prev(f_pi(x_in)), one value per row of ``x_in``; no gradient reaches
     them.  The returned gradient is normalized by the batch size, as are
     ``weights``, so the step size stays comparable across the growing sample
     schedule; the loss itself is the plain sum.
@@ -216,14 +216,14 @@ def line_search_level(net: PDLyapunovNet, v: np.ndarray, images: np.ndarray,
     return level
 
 
-def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
+def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, f_pi,
                  cfg: RedesignConfig, batch_size: int, grid: GridDomain,
                  rng: np.random.Generator):
     """Run the growth loop and return ``(estimate, v_grid, records)``.
 
-    Training starts from a copy of the previous phase's net; ``prev_est`` and
-    ``prev_f`` stay frozen and only feed the monotonicity target, and
-    ``prev_v`` holds the previous net's V at the cell centres.  Each of the
+    Training starts from a copy of the previous phase's net; ``prev_est``
+    stays frozen and only feeds the monotonicity target, V_prev(f_pi(x_in)),
+    and ``prev_v`` holds the previous net's V at the cell centres.  Each of the
     ``cfg.growth_iters`` iterations samples ``batch_size`` states (the
     phase's ``cfg.batch_size(phase)``), takes an equal share of
     ``cfg.roa_sgd_steps``, at least one step, evaluates the net on the grid
@@ -254,7 +254,7 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, prev_f, f_pi,
                               cfg.rollout_steps_r, box)
         x_in, x_out = labeled.x_in, labeled.x_out
         xin_next = f_pi(x_in)
-        prev_vals = prev_est.net.value(prev_f(x_in))
+        prev_vals = prev_est.net.value(xin_next)
         x, weights = _loss_batch(x_in, x_out, xin_next, cfg)
         loss = 0.0
         for _ in range(steps_per_iter):

@@ -501,7 +501,7 @@ class TestEstimateRoa:
         v0, c0 = pretrained_level
         prev = LevelSetEstimate(pretrained[0], c0)
         short = replace(cfg, growth_iters=5, roa_sgd_steps=500)
-        est, v, records = estimate_roa(prev, v0, f_initial, f_initial, short,
+        est, v, records = estimate_roa(prev, v0, f_initial, short,
                                        short.batch_size(1), grid,
                                        np.random.default_rng(1))
         assert len(records) == 5
@@ -519,7 +519,7 @@ class TestEstimateRoa:
         outs = []
         for _ in range(2):
             est, _, recs = estimate_roa(prev, pretrained_level[0], f_initial,
-                                        f_initial, short, short.batch_size(1),
+                                        short, short.batch_size(1),
                                         grid, np.random.default_rng(3))
             outs.append((est.net.params, est.c,
                          [r.est_fraction for r in recs]))
@@ -537,7 +537,7 @@ class TestEstimateRoa:
                             lambda net, x: rows.append(len(x)) or value(net, x))
         prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
         short = replace(cfg, growth_iters=3, roa_sgd_steps=30)
-        estimate_roa(prev, pretrained_level[0], f_initial, f_initial, short,
+        estimate_roa(prev, pretrained_level[0], f_initial, short,
                      short.batch_size(1), grid, np.random.default_rng(2))
         assert rows.count(grid.n_cells) == short.growth_iters
         assert sum(rows) < 2 * short.growth_iters * grid.n_cells
@@ -561,7 +561,7 @@ class TestEstimateRoa:
         monkeypatch.setattr(roa_estimator, "label_batch", spy)
         prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
         short = replace(cfg, growth_iters=3, roa_sgd_steps=30)
-        _, _, records = estimate_roa(prev, pretrained_level[0], escape, escape,
+        _, _, records = estimate_roa(prev, pretrained_level[0], escape,
                                      short, short.batch_size(1), grid,
                                      np.random.default_rng(5))
         assert n_in == [0] * short.growth_iters
