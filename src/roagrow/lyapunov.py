@@ -11,6 +11,14 @@ with respect to the free blocks or to the network input.  It runs in a
 :class:`Workspace`, whose arrays a training loop reuses from step to step;
 :meth:`PDLyapunovNet.grad_x` runs one for the input gradient.
 
+Training runs in float32 and everything that certifies runs in float64.
+Both training loops step in a float32 workspace, but ``params`` stay float64
+master weights: one estimation step moves them by at most 5e-6 in norm,
+a few float32 spacings per parameter near 0.1, which float32 would round
+away in part or in whole.  :meth:`PDLyapunovNet.value`
+(grid values, line search, labels), :meth:`~PDLyapunovNet.grad_x` (the
+policy gradient) and checkpoints are float64.
+
 V of a point is not bit-stable across batch sizes under OpenBLAS: in a batch
 of 18 rows or fewer its low bits can differ from those in a larger batch, so
 :meth:`PDLyapunovNet.value` keeps every block at ``VALUE_BLOCK`` rows or more.
@@ -135,17 +143,21 @@ class PDLyapunovNet:
         return v, work.delta[0]
 
     def sgd_step(self, grad: np.ndarray, lr: float):
-        """In-place plain SGD update of ``params``."""
+        """In-place plain SGD update of the float64 ``params``."""
         self.params -= lr * grad
 
 
 class Workspace:
-    """The arrays of a forward and a reverse pass of ``net``: the weights that
-    :func:`build_weight` builds, the activations, the backpropagated deltas,
-    the weight gradients and the flat gradient and its squares.  A pass over
-    a batch with as many rows as the last one reuses them; another row count
-    reallocates the row-sized ones.  Reuse is invisible: every pass gives the
-    bits that a fresh workspace gives.
+    """The arrays of a forward and a reverse pass of ``net``, all of
+    ``dtype``: the weights that :func:`build_weight` builds, the activations,
+    the backpropagated deltas, the weight gradients and the flat gradient and
+    its squares.  A pass over a batch with as many rows as the last one reuses
+    them; another row count reallocates the row-sized ones.  Reuse is
+    invisible: every pass gives the bits that a fresh workspace gives.
+
+    In float32, each forward first casts the net's float64 ``params`` into a
+    float32 copy and builds the weights from that, so every product and
+    ``tanh`` runs in float32; the net's ``params`` stay float64.
 
     One SGD step is :meth:`forward`, :meth:`backward`, then :meth:`clip` when
     the gradient is capped.  Results live in the workspace's own arrays and
@@ -153,37 +165,41 @@ class Workspace:
     activations with their tanh slopes, so it follows each forward once.
     """
 
-    def __init__(self, net: PDLyapunovNet):
-        self.net = net
+    def __init__(self, net: PDLyapunovNet, dtype=np.float64):
+        self.net, self.dtype = net, np.dtype(dtype)
+        # the net's params, or the copy in dtype that each forward refreshes
+        self.params = (net.params if self.dtype == net.params.dtype
+                       else np.empty(net.params.shape, self.dtype))
         shapes = list(zip(net.widths, net.widths[1:]))
-        self.ws = [np.empty((d_out, d_in)) for d_in, d_out in shapes]
-        self.dw = [np.empty((d_out, d_in)) for d_in, d_out in shapes]
-        self.dw_x = [np.empty((d_out, d_in)) for d_in, d_out in shapes]
-        self.sym = [np.empty((d_in, d_in)) for d_in, _ in shapes]
-        self.grad = np.empty_like(net.params)
-        self.grad_extra = np.empty_like(net.params)
+        self.ws, self.dw, self.dw_x = ([np.empty((d_out, d_in), self.dtype)
+                                        for d_in, d_out in shapes] for _ in range(3))
+        self.sym = [np.empty((d_in, d_in), self.dtype) for d_in, _ in shapes]
+        self.grad = np.empty_like(self.params)
+        self.grad_extra = np.empty_like(self.params)
         # (G1, G2) views of the flat vectors
+        self.layers = net.blocks(self.params)
         self.grad_blocks = net.blocks(self.grad)
         self.extra_blocks = net.blocks(self.grad_extra)
         # each non-empty block of grad, in layout order, beside the array
         # that receives its squares
         self.squares = [(g, s) for pair, s_pair in zip(
-                            self.grad_blocks, net.blocks(np.empty_like(net.params)))
+                            self.grad_blocks, net.blocks(np.empty_like(self.params)))
                         for g, s in zip(pair, s_pair) if g.size]
         self.n = self.m = -1
 
     def _size(self, n: int):
         if n != self.n:
             self.n = n
-            self.acts = [None] + [np.empty((n, d)) for d in self.net.widths[1:]]
-            self.delta = [np.empty((n, d)) for d in self.net.widths]
-            self.v = np.empty(n)
+            self.acts = [None] + [np.empty((n, d), self.dtype)
+                                  for d in self.net.widths[1:]]
+            self.delta = [np.empty((n, d), self.dtype) for d in self.net.widths]
+            self.v = np.empty(n, self.dtype)
 
     def _size_extra(self, m: int):
         if m != self.m:
             self.m = m
-            self.dz_x = [np.empty((m, d)) for d in self.net.widths[1:]]
-            self.delta_x = [np.empty((m, d)) for d in self.net.widths]
+            self.dz_x = [np.empty((m, d), self.dtype) for d in self.net.widths[1:]]
+            self.delta_x = [np.empty((m, d), self.dtype) for d in self.net.widths]
 
     def release(self):
         """Free the row-sized arrays, so that they are not held beside a
@@ -194,10 +210,12 @@ class Workspace:
     def forward(self, x) -> np.ndarray:
         """V of each row of the batch ``x`` (n, 2), kept with the activations
         for :meth:`backward`."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=self.dtype))
         self._size(len(x))
         self.acts[0] = h = x
-        for (g1, g2), w in zip(self.net.layers, self.ws):
+        if self.params is not self.net.params:
+            self.params[...] = self.net.params
+        for (g1, g2), w in zip(self.layers, self.ws):
             build_weight(g1, g2, self.net.eps, w)
         for w, h_next in zip(self.ws, self.acts[1:]):
             h = np.matmul(h, w.T, out=h_next)
@@ -217,13 +235,13 @@ class Workspace:
         sums differently (clip one, not the other).
         """
         acts, ws, n_layers = self.acts, self.ws, len(self.ws)
-        out_weights = np.asarray(out_weights, dtype=float)
+        out_weights = np.asarray(out_weights, dtype=self.dtype)
         delta = np.multiply(2.0 * out_weights[:, None], acts[-1],
                             out=self.delta[-1])            # dS/dh_L
         m = 0 if extra_weights is None else len(extra_weights)
         self._size_extra(m)
         if m:
-            extra = np.asarray(extra_weights, dtype=float)
+            extra = np.asarray(extra_weights, dtype=self.dtype)
             delta_x = np.multiply(2.0 * extra[:, None], acts[-1][:m],
                                   out=self.delta_x[-1])
         for ell in range(n_layers - 1, -1, -1):
@@ -251,7 +269,7 @@ class Workspace:
         """Map gradients w.r.t. the stacked weights onto ``blocks``, the
         (G1, G2) views of a flat vector laid out like ``params``."""
         for (g1, _), (d_g1, d_g2), dw, sym in zip(
-                self.net.layers, blocks, d_weights, self.sym):
+                self.layers, blocks, d_weights, self.sym):
             d_in = len(g1)
             np.add(dw[:d_in], dw[:d_in].T, out=sym)
             np.matmul(g1, sym, out=d_g1)
@@ -281,7 +299,8 @@ def pretrain_quadratic(net: PDLyapunovNet, grid_points: np.ndarray,
                        lr: float = 0.001, steps: int = 10_000,
                        batch: int = 256) -> dict:
     """Fit V to ``target``, one value per grid point, by mini-batch SGD on
-    the grid points (:func:`quadratic_target` gives the isotropic shape).
+    the grid points (:func:`quadratic_target` gives the isotropic shape),
+    stepping in a float32 :class:`Workspace`; the grid MSE is float64.
 
     Mutates ``net`` and returns {initial_mse, final_mse}; raises
     :class:`PretrainDivergence` if the grid MSE grows 10x over its initial
@@ -299,7 +318,7 @@ def pretrain_quadratic(net: PDLyapunovNet, grid_points: np.ndarray,
 
     initial = mse = grid_mse()
     n = len(grid_points)
-    work = Workspace(net)
+    work = Workspace(net, np.float32)
     for step in range(steps):
         idx = rng.integers(0, n, size=min(batch, n))
         xb = grid_points[idx]

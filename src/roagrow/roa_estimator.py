@@ -167,7 +167,7 @@ def _roa_loss_grad(work: Workspace, x, weights, prev_vals, cfg: RedesignConfig):
     """
     n_in = len(prev_vals)
     n_out = len(x) - 2 * n_in
-    v = work.forward(x)
+    v = work.forward(x).astype(float, copy=False)
     v_in, v_out, v_next = v[:n_in], v[n_in:n_in + n_out], v[n_in + n_out:]
     gap = v_in - prev_vals
     loss = float((v_in - C_BAR).sum() - (v_out - C_BAR).sum()
@@ -229,7 +229,7 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, f_pi,
     ``cfg.roa_sgd_steps``, at least one step, evaluates the net on the grid
     once, at the centres, and line-searches the level on a prefix of the
     centres' images under ``f_pi``; the values at the centres also serve the
-    next iteration's sampling.  The steps run in one
+    next iteration's sampling.  The steps run in one float32
     :class:`~roagrow.lyapunov.Workspace`, sized by each iteration's batch and
     released before each grid pass.  The returned
     estimate is the iterate whose line-searched sublevel set covers the most
@@ -239,7 +239,7 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, f_pi,
     """
     box = grid.safety_box(cfg.safety_box_factor)
     net = prev_est.net.copy()
-    work = Workspace(net)
+    work = Workspace(net, np.float32)
     c, v = prev_est.c, prev_v
     steps_per_iter = max(1, cfg.roa_sgd_steps // cfg.growth_iters)
     centers = grid.centers()

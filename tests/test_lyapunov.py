@@ -258,6 +258,71 @@ class TestWorkspace:
         assert np.array_equal(g, reference_backward(small_net, x, np.ones(6))[0])
 
 
+class TestFloat32Workspace:
+    """The training loops step in float32; the net's params stay float64."""
+
+    def test_matches_float64_to_float32_tolerance(self, small_net):
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1.5, 1.5, (40, 2))
+        w, extra = rng.normal(size=40) / 40, rng.normal(size=15) / 40
+        works = []
+        for dtype in (np.float64, np.float32):
+            work = Workspace(small_net, dtype)
+            work.forward(x)
+            work.backward(w, extra)
+            works.append(work)
+        wide, narrow = works
+        for name in ("v", "grad", "grad_extra"):
+            got, want = getattr(narrow, name), getattr(wide, name)
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-4,
+                                       atol=1e-5 * np.abs(want).max())
+        # a cap that binds, then the extra column added uncapped
+        assert np.linalg.norm(wide.grad) > 1e-3
+        want = wide.clip(1e-3)
+        got = narrow.clip(1e-3)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-4,
+                                   atol=1e-5 * np.abs(want).max())
+
+    def test_step_below_float32_resolution_moves_float64_params(self, small_net):
+        net = small_net.copy()
+        work = Workspace(net, np.float32)
+        rng = np.random.default_rng(32)
+        work.forward(rng.uniform(-1, 1, (20, 2)))
+        work.backward(rng.normal(size=20))
+        grad = work.grad
+        # the largest entry of the step is 1e-10, below half the float32
+        # spacing of every parameter of magnitude 0.01 or more
+        lr = 1e-10 / float(np.abs(grad).max())
+        before = net.params.copy()
+        net.sgd_step(grad, lr)
+        assert net.params.dtype == np.float64
+        assert all(np.shares_memory(g1, net.params) for g1, _ in net.layers)
+        big = np.abs(before) >= 0.01
+        moved = big & (grad != 0)
+        assert moved.sum() > len(before) // 2
+        # float32 params would keep their value; the float64 ones move
+        as32 = before.astype(np.float32)
+        assert np.array_equal((as32 - lr * grad)[moved], as32[moved])
+        assert np.all(net.params[moved] != before[moved])
+
+    def test_pretraining_steps_in_float32(self, small_net, monkeypatch):
+        dtypes = []
+        backward = Workspace.backward
+        monkeypatch.setattr(Workspace, "backward", lambda work, *a, **k: (
+            dtypes.append((work.acts[-1].dtype, work.grad.dtype))
+            or backward(work, *a, **k)))
+        points = GridDomain(n_theta=10, n_omega=10).centers()
+        net = small_net.copy()
+        pretrain_quadratic(net, points, quadratic_target(points),
+                           np.random.default_rng(3), steps=5)
+        assert dtypes == [(np.float32, np.float32)] * 5
+        assert net.params.dtype == np.float64
+        v, g = net.grad_x(points[:7])
+        assert net.value(points).dtype == v.dtype == g.dtype == np.float64
+
+
 class TestPretraining:
     def test_zero_steps_is_identity(self, grid):
         rng = np.random.default_rng(6)

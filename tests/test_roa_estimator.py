@@ -542,6 +542,25 @@ class TestEstimateRoa:
         assert rows.count(grid.n_cells) == short.growth_iters
         assert sum(rows) < 2 * short.growth_iters * grid.n_cells
 
+    def test_steps_in_float32_and_returns_a_float64_net(
+            self, pretrained, pretrained_level, f_initial, grid, cfg, monkeypatch):
+        dtypes = []
+        backward = Workspace.backward
+        monkeypatch.setattr(Workspace, "backward", lambda work, *a, **k: (
+            dtypes.append((work.acts[-1].dtype, work.grad.dtype))
+            or backward(work, *a, **k)))
+        prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
+        short = replace(cfg, growth_iters=2, roa_sgd_steps=10)
+        est, v, records = estimate_roa(prev, pretrained_level[0], f_initial, short,
+                                       short.batch_size(1), grid,
+                                       np.random.default_rng(4))
+        assert dtypes == [(np.float32, np.float32)] * short.roa_sgd_steps
+        assert est.net.params.dtype == v.dtype == np.float64
+        assert all(isinstance(r.loss, float) for r in records)
+        centers = grid.centers()
+        value, grad = est.net.grad_x(centers[:9])
+        assert est.net.value(centers).dtype == value.dtype == grad.dtype == np.float64
+
     def test_every_sample_labelled_out(self, pretrained, pretrained_level, grid,
                                        cfg, monkeypatch):
         # a map that leaves the safety box in one step: no sample is labelled
