@@ -154,7 +154,7 @@ def _roa_loss_grad(work: Workspace, x, weights, prev_vals, cfg: RedesignConfig):
     V_prev(f_pi(x_in)), one value per row of ``x_in``; no gradient reaches
     them.  The returned gradient is normalized by the batch size, as are
     ``weights``, so the step size stays comparable across the growing sample
-    schedule; the loss itself is the plain sum.
+    schedule; the loss itself is the plain sum, in float64.
 
     Only the classifier and decrease terms are capped at ``cfg.roa_grad_clip``:
     they are linear in V and unbounded below, so the cap is what keeps

@@ -285,6 +285,16 @@ class TestFloat32Workspace:
         np.testing.assert_allclose(got, want, rtol=1e-4,
                                    atol=1e-5 * np.abs(want).max())
 
+    def test_each_forward_casts_the_current_params(self, small_net):
+        net = small_net.copy()
+        work = Workspace(net, np.float32)
+        x = np.random.default_rng(33).uniform(-1, 1, (8, 2))
+        work.forward(x)
+        work.backward(np.ones(8))
+        net.sgd_step(work.grad, 0.5)
+        assert np.array_equal(work.forward(x), Workspace(net, np.float32).forward(x))
+        assert np.array_equal(work.params, net.params.astype(np.float32))
+
     def test_step_below_float32_resolution_moves_float64_params(self, small_net):
         net = small_net.copy()
         work = Workspace(net, np.float32)
