@@ -133,6 +133,14 @@ class ClosedLoopMap:
     def __call__(self, state):
         return step_euler(state, policy_eval(state, self.policy), self.params)
 
+    @property
+    def odd(self) -> bool:
+        """f(-x) == -f(x) bitwise, up to the sign of an exact zero, when the
+        saturation is point-symmetric: given an odd ``np.sin``, every operation
+        commutes with negation.  A subclass that changes the map overrides it."""
+        psi = self.policy.psi
+        return psi.a == -psi.b and psi.m_a == psi.m_b
+
 
 def closed_loop(policy, params: PendulumParams) -> ClosedLoopMap:
     """Compose a policy with the Euler pendulum into an autonomous map."""

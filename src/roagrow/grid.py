@@ -4,6 +4,10 @@ Cells are indexed row-major with theta varying fastest: the flat index of
 cell (i, j) is ``j * n_theta + i`` where ``i`` counts theta cells and ``j``
 counts omega cells.  All set computations in the project (RoA masks, level
 sets, gap rings) are carried out on the cell centers.
+
+Cell ``i`` of ``n`` on an axis from ``lo`` to ``hi`` is centred at ``(lo + hi)
+/ 2 + (i - (n - 1) / 2) * width``: on a domain centred at the origin, the
+centre of cell ``n_cells - 1 - c`` is bitwise the negation of cell ``c``'s.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ class GridDomain:
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape (n_cells, 2), theta fastest."""
-        th = self.theta_min + (np.arange(self.n_theta) + 0.5) * self.cell_width_theta
-        om = self.omega_min + (np.arange(self.n_omega) + 0.5) * self.cell_width_omega
+        th = (0.5 * (self.theta_min + self.theta_max)
+              + (np.arange(self.n_theta) - (self.n_theta - 1) / 2) * self.cell_width_theta)
+        om = (0.5 * (self.omega_min + self.omega_max)
+              + (np.arange(self.n_omega) - (self.n_omega - 1) / 2) * self.cell_width_omega)
         tt, oo = np.meshgrid(th, om)           # rows of constant omega
         return np.stack([tt.ravel(), oo.ravel()], axis=1)
 
@@ -61,7 +67,8 @@ class GridDomain:
         return (i == 0) | (i == self.n_theta - 1) | (j == 0) | (j == self.n_omega - 1)
 
     def origin_index(self) -> int:
-        """Index of the cell whose center is nearest the origin."""
+        """Index of the cell whose center is nearest the origin; of cells that
+        tie (four on a centred even grid), ``argmin`` returns the lowest."""
         c = self.centers()
         return int(np.argmin(c[:, 0] ** 2 + c[:, 1] ** 2))
 

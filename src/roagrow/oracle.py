@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import roll_forward
+from .dynamics import ClosedLoopMap, roll_forward
 from .grid import GridDomain
 
 __all__ = [
@@ -75,6 +75,13 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     does not depend on ``p``.  An error in any part is raised here once every
     child is reaped.  Pass ``processes=1`` where other work runs beside the
     oracle.
+
+    When ``f`` is a :class:`~roagrow.dynamics.ClosedLoopMap` whose ``odd`` is
+    true, the grid is centred at the origin and the box is symmetric, only
+    cells ``0 ... ceil(n_cells / 2) - 1`` are rolled, split as above, and cell
+    ``n_cells - 1 - c`` takes cell ``c``'s verdict.  This is exact: its centre
+    is bitwise the negation of cell ``c``'s, the odd map keeps every state so
+    up to the sign of a zero, and the tests read only ``|theta|``, ``|omega|``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -83,26 +90,33 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     if box is None:
         box = grid.safety_box()
 
-    x0 = grid.centers().T
-    p = min(processes, _usable_cpus(), x0.shape[1])
+    n = grid.n_cells
+    mirror = (isinstance(f, ClosedLoopMap) and f.odd
+              and grid.theta_min == -grid.theta_max and grid.omega_min == -grid.omega_max
+              and box[0][0] == -box[0][1] and box[1][0] == -box[1][1])
+    converged = np.empty(n, dtype=bool)
+    rolled = converged[:(n + 1) // 2] if mirror else converged
+    x0 = grid.centers()[:len(rolled)].T
+    p = min(processes, _usable_cpus(), len(rolled))
     rule = (k_max, ball_radius, confirm_steps, box)
-    converged = np.empty(x0.shape[1], dtype=bool)
     # the children start first, so they run while this process does part 0;
     # every child is joined whatever failed, and the first error is raised
     joins, error = [], None
     try:
         for i in range(1, p):
             joins.append(_start_in_child(roll_forward, f, x0[:, i::p], *rule))
-        converged[::p] = roll_forward(f, x0[:, ::p], *rule)[0]
+        rolled[::p] = roll_forward(f, x0[:, ::p], *rule)[0]
     except BaseException as exc:
         error = exc
     for i, join in enumerate(joins, start=1):
         try:
-            converged[i::p] = join()[0]
+            rolled[i::p] = join()[0]
         except BaseException as exc:
             error = error or exc
     if error is not None:
         raise error
+    # cell n - 1 - c takes cell c's verdict; both slices are empty unmirrored
+    converged[len(rolled):] = converged[:n - len(rolled)][::-1]
     return RoaMask(converged, grid.n_theta, grid.n_omega)
 
 

@@ -185,6 +185,42 @@ class TestMapExactness:
         assert got.flags.f_contiguous == (layout == "F")
         assert got.tobytes() == reference_step(x, pol, p).tobytes()
 
+    # the odd maps the oracle mirrors: symmetric thresholds, symmetric slopes,
+    # and friction with constants whose divisions round
+    ODD_MAPS = {"thresholds": (SatParams(a=0.3, b=-0.3), {}),
+                "slopes": (SatParams(a=0.2, b=-0.2, m_a=0.5, m_b=0.5), {}),
+                "friction": (SatParams(a=0.4, b=-0.4),
+                             dict(friction=0.1, inertia=0.3, length=0.7))}
+
+    @pytest.mark.parametrize("layout", ["contiguous_columns", "strided_columns"])
+    @pytest.mark.parametrize("case", sorted(ODD_MAPS))
+    def test_odd_map_is_bitwise_odd(self, lqr, params, case, layout):
+        # f(-x) == -f(x) up to the sign of an exact zero (== ignores it) on
+        # states from subnormal to 1e150 in magnitude, ±0 entries among them
+        psi, physics = self.ODD_MAPS[case]
+        f = closed_loop(SatPolicy(k=lqr[0], psi=psi), replace(params, **physics))
+        assert f.odd
+        rng = np.random.default_rng(23)
+        mag = 10.0 ** rng.uniform(-320, 150, (2, 10**6))
+        x = mag * rng.choice([-1.0, 1.0], mag.shape)
+        x[:, rng.integers(0, x.shape[1], 1000)] = 0.0
+        x[0, rng.integers(0, x.shape[1], 1000)] = -0.0
+        x[1, rng.integers(0, x.shape[1], 1000)] = -0.0
+        x = x.T if layout == "contiguous_columns" else np.ascontiguousarray(x.T)
+        assert x[:, 0].flags.c_contiguous == (layout == "contiguous_columns")
+        fx, fmx = f(x), f(-x)
+        assert np.isfinite(fx).all()
+        assert np.array_equal(fmx, -fx)
+
+    @pytest.mark.parametrize("psi", [SatParams(a=0.3, b=-0.2),
+                                     SatParams(m_a=0.5, m_b=0.25)],
+                             ids=["thresholds", "slopes"])
+    def test_asymmetric_saturation_is_not_odd(self, lqr, params, psi):
+        f = closed_loop(SatPolicy(k=lqr[0], psi=psi), params)
+        assert not f.odd
+        x = np.array([[0.0, -5.0]])
+        assert not np.array_equal(f(-x), -f(x))
+
     def test_scalar_input_single_state(self, params):
         x = np.array([0.4, -1.2])
         want = reference_step(x, SatPolicy(k=np.zeros(2), psi=SatParams()),

@@ -1,12 +1,13 @@
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import roagrow.dynamics as dynamics
 import roagrow.oracle as oracle
-from roagrow.dynamics import roll_forward
+from roagrow.dynamics import ClosedLoopMap, closed_loop, roll_forward
 from roagrow.grid import GridDomain
 from roagrow.oracle import (RoaMask, load_mask_pgm, save_mask_csv,
                             save_mask_pgm, true_roa)
@@ -35,6 +36,34 @@ class TestGridDomain:
         idx = grid.origin_index()
         d = np.hypot(c[:, 0], c[:, 1])
         assert d[idx] == d.min()
+
+    def test_origin_cell_is_lowest_of_four_ties(self, grid):
+        # the line search excludes this cell: the four cells around the
+        # origin tie exactly, and argmin takes the lowest flat index
+        c = grid.centers()
+        d = c[:, 0] ** 2 + c[:, 1] ** 2
+        assert np.flatnonzero(d == d.min()).tolist() == [4949, 4950, 5049, 5050]
+        assert grid.origin_index() == 4949
+
+    def test_centres_lie_inside_their_cells(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            lo = rng.uniform(-1e3, 1e3, 2)
+            hi = lo + 10.0 ** rng.uniform(-3, 3, 2)
+            n = rng.integers(2, 300, 2)
+            g = GridDomain(lo[0], hi[0], lo[1], hi[1], int(n[0]), int(n[1]))
+            c, cell = g.centers(), np.arange(g.n_cells)
+            for axis, i, w in ((0, cell % n[0], g.cell_width_theta),
+                               (1, cell // n[0], g.cell_width_omega)):
+                assert np.all(lo[axis] + i * w < c[:, axis])
+                assert np.all(c[:, axis] < lo[axis] + (i + 1) * w)
+
+    @pytest.mark.parametrize("counts", [(100, 100), (7, 9), (10, 7), (2, 3), (9, 9)])
+    def test_centred_domain_has_point_symmetric_centres(self, counts):
+        rng = np.random.default_rng(sum(counts))
+        for th, om in [(np.pi / 2, 2 * np.pi), *rng.uniform(1e-3, 1e3, (20, 2))]:
+            c = GridDomain(-th, th, -om, om, *counts).centers()
+            assert c[::-1].tobytes() == (-c + 0.0).tobytes()
 
     def test_jitter_stays_in_cell(self, grid):
         rng = np.random.default_rng(0)
@@ -381,6 +410,86 @@ class TestSplitOracle:
     def test_processes_below_one_rejected(self):
         with pytest.raises(ValueError, match="processes"):
             true_roa(lambda x: 0.5 * x, SMALL_GRID, k_max=20, processes=0)
+
+
+# odd closed-loop maps, a = -b and m_a = m_b: (a, m, pendulum overrides)
+ODD_SHAPES = {"thresholds": (0.3, 0.0, {}), "slopes_0.25": (0.2, 0.25, {}),
+              "slopes_0.5": (0.2, 0.5, {}), "friction": (0.2, 0.0, {"friction": 0.1})}
+# even and odd cell counts; the counts of 9x9 are both odd, so its middle
+# cell is its own mirror
+MIRROR_GRIDS = {"7x9": (7, 9), "9x9": (9, 9), "10x7": (10, 7), "2x3": (2, 3)}
+MIRROR_RULE = (300, 0.1, 20)        # k_max, ball_radius, confirm_steps
+
+
+def shaped(policy, a, b, m_a=0.0, m_b=0.0):
+    return replace(policy, psi=replace(policy.psi, a=a, b=b, m_a=m_a, m_b=m_b))
+
+
+class CountingMap(ClosedLoopMap):
+    """The closed-loop map, recording the row count of every call."""
+
+    def __init__(self, policy, params):
+        super().__init__(policy, params)
+        self.rows = []
+
+    def __call__(self, state):
+        self.rows.append(len(state))
+        return super().__call__(state)
+
+
+_MIRROR_REFERENCE = {}
+
+
+class TestMirroredOracle:
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    @pytest.mark.parametrize("grid_name", sorted(MIRROR_GRIDS))
+    @pytest.mark.parametrize("shape", sorted(ODD_SHAPES))
+    def test_matches_per_cell_rule(self, shape, grid_name, processes,
+                                   initial_policy, params, many_cpus):
+        a, m, physics = ODD_SHAPES[shape]
+        f = closed_loop(shaped(initial_policy, a, -a, m, m), replace(params, **physics))
+        n_theta, n_omega = MIRROR_GRIDS[grid_name]
+        grid = GridDomain(n_theta=n_theta, n_omega=n_omega)
+        assert f.odd
+        key = (shape, grid_name)
+        if key not in _MIRROR_REFERENCE:
+            _MIRROR_REFERENCE[key] = reference_roa(f, grid, *MIRROR_RULE,
+                                                   grid.safety_box())
+        got = true_roa(f, grid, *MIRROR_RULE, processes=processes)
+        assert np.array_equal(got.values, _MIRROR_REFERENCE[key])
+
+    @pytest.mark.parametrize("k_max", [1000, 8000])
+    def test_default_grid_same_bytes_as_full_roll(self, k_max, initial_policy,
+                                                  params, grid):
+        # a plain function is never mirrored, so it rolls every cell
+        for a in (0.2, 0.3, 0.4, 0.5):
+            f = closed_loop(shaped(initial_policy, a, -a), params)
+            mirrored = true_roa(f, grid, k_max)
+            full = true_roa(lambda x: f(x), grid, k_max)
+            assert mirrored.values.tobytes() == full.values.tobytes(), a
+
+    def test_mirror_needs_odd_map_centred_grid_and_symmetric_box(
+            self, initial_policy, params):
+        centred = GridDomain(n_theta=10, n_omega=7)
+        box = ((-10.0, 10.0), (-30.0, 30.0))
+        odd = shaped(initial_policy, 0.3, -0.3)
+        # name -> (policy, grid, box, rows of the first map call)
+        cases = {
+            "odd": (odd, centred, box, 35),
+            "odd_count": (odd, GridDomain(n_theta=9, n_omega=9), box, 41),
+            "thresholds": (shaped(initial_policy, 0.3, -0.25), centred, box, 70),
+            "slopes": (shaped(initial_policy, 0.3, -0.3, 0.5, 0.25), centred, box, 70),
+            "theta_off_centre": (odd, GridDomain(-1.5, 1.6, n_theta=10, n_omega=7),
+                                 box, 70),
+            "omega_off_centre": (odd, GridDomain(omega_min=-6.0, omega_max=6.5,
+                                                 n_theta=10, n_omega=7), box, 70),
+            "theta_box": (odd, centred, ((-10.0, 10.5), (-30.0, 30.0)), 70),
+            "omega_box": (odd, centred, ((-10.0, 10.0), (-29.0, 30.0)), 70),
+        }
+        for name, (policy, grid, box, rows) in cases.items():
+            f = CountingMap(policy, params)
+            true_roa(f, grid, 50, box=box, processes=1)
+            assert f.rows[0] == rows, name
 
 
 class TestMeasures:
