@@ -75,7 +75,9 @@ def pendulum_deriv(state, u, p: PendulumParams):
     domega = (g/l) sin(theta) + u/I - friction * omega / I
 
     ``state`` may be a single ``(2,)`` state or a batch ``(n, 2)``; ``u`` is a
-    scalar or ``(n,)`` array of input forces.
+    scalar or ``(n,)`` array of input forces.  Without friction the last term
+    is skipped: it would subtract ±0, which can change only the sign of an
+    exact-zero domega.
     """
     state = np.asarray(state, dtype=float)
     omega = state[..., 1]
@@ -83,7 +85,8 @@ def pendulum_deriv(state, u, p: PendulumParams):
     domega = np.sin(state[..., 0])
     domega *= p.g / p.length
     domega += np.asarray(u) / p.inertia
-    domega -= p.friction * omega / p.inertia
+    if p.friction:
+        domega -= p.friction * omega / p.inertia
     return omega, domega
 
 
@@ -137,7 +140,9 @@ class ClosedLoopMap:
     def odd(self) -> bool:
         """f(-x) == -f(x) bitwise, up to the sign of an exact zero, when the
         saturation is point-symmetric: given an odd ``np.sin``, every operation
-        commutes with negation.  A subclass that changes the map overrides it."""
+        commutes with negation, the zero-slope clamp to [-a, a] too, since
+        ``max`` and ``min`` return one of their operands.  A subclass that
+        changes the map overrides it."""
         psi = self.policy.psi
         return psi.a == -psi.b and psi.m_a == psi.m_b
 
@@ -189,6 +194,9 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
     ``np.hypot`` runs only on rows inside the square ``max(|theta|, |omega|)
     < 2 * ball_radius``: a faithfully rounded hypot of any other row is at
     least ``2 * ball_radius`` too, so inf stands in for it.  A NaN row fails.
+    A box symmetric about the origin (decided once from its four scalars) is
+    tested as ``|theta| <= thi and |omega| <= whi`` on the ``|x|`` the ball
+    test holds, which fails a NaN row too; any other box by :func:`out_of_box`.
 
     Returns ``(converged, running, x)``: the flags of every row, the rows
     still running after ``k_max + confirm_steps`` steps, in ascending order,
@@ -204,17 +212,29 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
     converged = np.zeros(len(idx), dtype=bool)
     wait = max(confirm_steps, 1)       # entered on step j: confirmed on j + wait
     k, end = 0, k_max + confirm_steps
+    (tlo, thi), (wlo, whi) = box
+    symmetric = tlo == -thi and wlo == -whi
+
+    def outside(x, ax):
+        if not symmetric:
+            return out_of_box(np.swapaxes(x, -1, -2), box)
+        # the in-box test negated, so that a NaN row fails
+        inb = ax[..., 0, :] <= thi
+        inb &= ax[..., 1, :] <= whi
+        return np.logical_not(inb, out=inb)
 
     while k < end and len(idx) > TAIL_ROWS:
         x = f(x.T).T
-        # hypot only inside the square; outside it inf stands in
-        near = np.abs(x) < 2 * ball_radius
+        # the box test and the hypot prefilter share |x|; hypot runs only
+        # inside the square, outside it inf stands in
+        near = np.abs(x)
+        failed = outside(x, near)
+        near = near < 2 * ball_radius
         near = np.logical_and(near[0], near[1], out=near[0])
         nrm = np.hypot(x[0], x[1], out=np.full(len(idx), np.inf), where=near)
         # confirmation first: rows that entered on an earlier step must stay
         # within twice the ball radius until they are confirmed
         confirming = entered < k
-        failed = out_of_box(x.T, box)
         failed |= confirming & (nrm >= 2 * ball_radius)
         conv = entered <= k - wait
         conv &= ~failed
@@ -237,7 +257,9 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
         block = buf[:min(TAIL_BLOCK, (k_max if k < k_max else end) - k), :, :m]
         for j in range(len(block)):
             block[j] = f((block[j - 1] if j else x).T).T
-        near = np.abs(block) < 2 * ball_radius
+        near = np.abs(block)
+        failed = outside(block, near)
+        near = near < 2 * ball_radius
         near = np.logical_and(near[:, 0], near[:, 1], out=near[:, 0])
         nrm = np.hypot(block[:, 0], block[:, 1], out=np.full(near.shape, np.inf),
                        where=near)
@@ -251,7 +273,6 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
                                k + first, entered)
         # the per-step rule on every step of the block at once
         confirming = entered < step
-        failed = out_of_box(block.transpose(0, 2, 1), box)
         failed |= confirming & (nrm >= 2 * ball_radius)
         conv = entered <= step - wait
         conv &= ~failed

@@ -69,8 +69,16 @@ class SatPolicy:
 
 
 def sat(z, psi: SatParams):
-    """Loose saturation, identity on [b, a], linear continuation outside."""
+    """Loose saturation, identity on [b, a], linear continuation outside.
+
+    With both slopes 0 it is the clamp ``min(max(z, b), a)``: on every finite
+    z ``b + 0 * (z - b)`` is exactly b, so the bits are the formula's (up to
+    the sign of a zero threshold), and NaN stays NaN.  Only ±inf differ: they
+    clamp to b and a, where ``0 * inf`` would give NaN.
+    """
     z = np.asarray(z, dtype=float)
+    if psi.m_a == 0 and psi.m_b == 0:
+        return np.minimum(np.maximum(z, psi.b), psi.a)
     out = np.where(z < psi.b, psi.b + psi.m_b * (z - psi.b), z)
     np.putmask(out, z > psi.a, psi.a + psi.m_a * (z - psi.a))
     return out

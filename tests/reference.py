@@ -179,6 +179,15 @@ def rollout_batch(f, x0s: np.ndarray, steps: int, box):
     return x, diverged
 
 
+def reference_sat(z, psi) -> np.ndarray:
+    """The saturation's piecewise formula, as it reads for every slope:
+    ``b + m_b (z - b)`` below b, z on [b, a], ``a + m_a (z - a)`` above a."""
+    z = np.asarray(z, dtype=float)
+    out = np.where(z < psi.b, psi.b + psi.m_b * (z - psi.b), z)
+    np.putmask(out, z > psi.a, psi.a + psi.m_a * (z - psi.a))
+    return out
+
+
 def reference_step(x, pol, params) -> np.ndarray:
     """One closed-loop Euler step as the formulas read: u = sat(-K x) with
     the nested-``np.where`` saturation, then x + dt * (omega, (g/l) sin(theta)

@@ -341,3 +341,44 @@ def test_determinism_bit_identical(f_initial):
     t2 = rollout(f_initial, x0, 500)
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.controls, t2.controls)
+
+
+class TestFrictionGuard:
+    """Without friction ``pendulum_deriv`` skips the friction term, which
+    would subtract ±0; the map keeps the bytes of the reference step, which
+    keeps the term."""
+
+    @pytest.mark.parametrize("layout", ["contiguous_columns", "c_order"])
+    @pytest.mark.parametrize("psi", [SatParams(a=0.3, b=-0.25),
+                                     SatParams(a=0.3, b=-0.25, m_a=0.5, m_b=0.2)],
+                             ids=["thresholds", "slopes"])
+    def test_frictionless_map_matches_reference_step(self, lqr, params, psi,
+                                                     layout):
+        # 10**6 finite states from subnormal to 1e150 in magnitude, ±0
+        # entries among them
+        p = replace(params, friction=0.0)
+        pol = SatPolicy(k=lqr[0], psi=psi)
+        rng = np.random.default_rng(29)
+        mag = 10.0 ** rng.uniform(-320, 150, (2, 10**6))
+        x = mag * rng.choice([-1.0, 1.0], mag.shape)
+        x[:, rng.integers(0, x.shape[1], 1000)] = 0.0
+        x[0, rng.integers(0, x.shape[1], 1000)] = -0.0
+        x[1, rng.integers(0, x.shape[1], 1000)] = -0.0
+        x = x.T if layout == "contiguous_columns" else np.ascontiguousarray(x.T)
+        got, want = closed_loop(pol, p)(x), reference_step(x, pol, p)
+        assert np.isfinite(got).all()
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    def test_friction_term_still_subtracted(self, lqr, params):
+        pol = SatPolicy(k=lqr[0], psi=SatParams(a=0.3, b=-0.25))
+        p = replace(params, friction=0.1)
+        x = np.random.default_rng(5).uniform(-2.0, 2.0, (1000, 2))
+        got = closed_loop(pol, p)(x)
+        assert got.tobytes() == reference_step(x, pol, p).tobytes()
+        frictionless = closed_loop(pol, replace(p, friction=0.0))(x)
+        assert np.array_equal(got[:, 0], frictionless[:, 0])
+        assert (got[:, 1] != frictionless[:, 1]).all()
+        u = policy_eval(x, pol)
+        _, dom = pendulum_deriv(x, u, p)
+        _, dom0 = pendulum_deriv(x, u, replace(p, friction=0.0))
+        assert np.array_equal(dom, dom0 - 0.1 * x[:, 1] / p.inertia)

@@ -7,7 +7,7 @@ import pytest
 
 import roagrow.dynamics as dynamics
 import roagrow.oracle as oracle
-from roagrow.dynamics import ClosedLoopMap, closed_loop, roll_forward
+from roagrow.dynamics import ClosedLoopMap, closed_loop, out_of_box, roll_forward
 from roagrow.grid import GridDomain
 from roagrow.oracle import (RoaMask, load_mask_pgm, save_mask_csv,
                             save_mask_pgm, true_roa)
@@ -183,29 +183,44 @@ def reference_roa(f, grid, k_max, ball_radius, confirm_steps, box):
     start, for a cell that starts inside) the state must stay within
     ``2 * ball_radius`` for ``confirm_steps`` steps.
     """
+    return reference_roll(f, grid.centers(), k_max, ball_radius, confirm_steps,
+                          box)[0]
+
+
+def reference_roll(f, x0s, k_max, ball_radius, confirm_steps, box):
+    """The rule of :func:`reference_roa` for each row of ``x0s`` on its own,
+    with the rows still running at the end and their states:
+    ``roll_forward``'s ``(converged, running, x)``."""
     (tlo, thi), (wlo, whi) = box
-    attracted = []
-    for x in grid.centers():
+    converged, running, finals = [], [], []
+    for i, x in enumerate(x0s):
         confirmed = 0 if np.hypot(x[0], x[1]) < ball_radius else None
-        verdict = False
+        verdict, stopped = False, False
         for k in range(k_max + confirm_steps):
             x = f(x[None, :])[0]
             if not (tlo <= x[0] <= thi and wlo <= x[1] <= whi):
+                stopped = True
                 break
             r = np.hypot(x[0], x[1])
             if confirmed is not None:
                 if r >= 2 * ball_radius:
+                    stopped = True
                     break
                 confirmed += 1
                 if confirmed >= confirm_steps:
-                    verdict = True
+                    verdict = stopped = True
                     break
             elif r < ball_radius and k + 1 <= k_max:
                 confirmed = 0
             elif k + 1 > k_max:
+                stopped = True
                 break
-        attracted.append(verdict)
-    return np.array(attracted)
+        converged.append(verdict)
+        if not stopped:
+            running.append(i)
+            finals.append(x)
+    return (np.array(converged), np.array(running, dtype=np.int64),
+            np.array(finals).reshape(-1, 2).T)
 
 
 _REFERENCE = {}
@@ -604,3 +619,101 @@ class TestMaskSerialization:
         ring = mask.boundary_cells()
         assert 0 < ring.sum() < mask.values.sum()
         assert np.all(mask.values[ring])
+
+
+# boxes for the box test of roll_forward: three symmetric about the origin
+# (an infinite and a zero half-width among them), whose test reads |x|, and
+# one asymmetric, which takes out_of_box
+EDGE_BOXES = {"symmetric": ((-1.5, 1.5), (-6.25, 6.25)),
+              "infinite_theta": ((-np.inf, np.inf), (-6.25, 6.25)),
+              "zero_theta": ((-0.0, 0.0), (-6.25, 6.25)),
+              "asymmetric": ((-1.5, 1.25), (-6.25, 6.5))}
+
+
+def _edge_values(lo, hi, ulps):
+    # each bound, and 1 to ``ulps`` ulps nearer zero and farther from it
+    vals = [0.0, -0.0, 0.3, -0.3]
+    for e in (lo, hi):
+        inward = outward = e
+        vals.append(e)
+        for _ in range(ulps):
+            inward = np.nextafter(inward, 0.0)
+            outward = np.nextafter(outward, np.copysign(np.inf, outward))
+            vals += [inward, outward]
+    return vals
+
+
+def edge_states(box, ulps=1):
+    """Every pair of a theta and an omega taken from: each edge of ``box``,
+    1 to ``ulps`` ulps inside and outside it, ±0, ±0.3, ±inf and NaN.  An
+    ``(n, 2)`` array."""
+    (tlo, thi), (wlo, whi) = box
+    special = [np.inf, -np.inf, np.nan]
+    th = _edge_values(tlo, thi, ulps) + special
+    om = _edge_values(wlo, whi, ulps) + special
+    return np.array(np.meshgrid(th, om)).reshape(2, -1).T
+
+
+def _ulp_out(x):
+    # rows in the unit disc halve; elsewhere a nonzero coordinate moves one
+    # ulp away from zero per step, so a row k ulps inside an edge leaves on
+    # step k + 1
+    disc = np.hypot(x[:, 0], x[:, 1]) < 1.0
+    return np.where(disc[:, None], 0.5 * x, np.nextafter(x, 2 * x))
+
+
+class TestSymmetricBox:
+    @pytest.mark.parametrize("body", ["per_step", "blocks"])
+    @pytest.mark.parametrize("box", sorted(EDGE_BOXES))
+    def test_box_test_matches_out_of_box(self, box, body, monkeypatch):
+        # one identity step under a radius-0 ball: a row is still running
+        # exactly when out_of_box calls its state in the box
+        box = EDGE_BOXES[box]
+        x = edge_states(box)
+        monkeypatch.setattr(dynamics, "TAIL_ROWS", 0 if body == "per_step" else len(x))
+        converged, running, final = roll_forward(lambda s: s.copy(), x.T, 1, 0.0, 0, box)
+        inside = ~out_of_box(x, box)
+        assert inside.any() and not inside.all()
+        assert not converged.any()
+        assert np.array_equal(running, np.flatnonzero(inside))
+        assert final.tobytes() == np.ascontiguousarray(x[inside].T).tobytes()
+
+    # (k_max, ball_radius, confirm_steps): the oracle's rule, under which rows
+    # converge, and the labels', under which rows still run at the end
+    @pytest.mark.parametrize("rule", [(12, 0.1, 3), (6, 0.0, 0)],
+                             ids=["oracle", "labels"])
+    @pytest.mark.parametrize("rows", ["more", "fewer"])
+    @pytest.mark.parametrize("body", ["default", "per_step", "blocks"])
+    @pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
+    def test_roll_from_the_edge_matches_per_row_rule(self, box, body, rows, rule,
+                                                     monkeypatch):
+        box = EDGE_BOXES[box]
+        x = edge_states(box, ulps=8)
+        if rows == "fewer":
+            x = x[::8]
+        assert (len(x) > dynamics.TAIL_ROWS) == (rows == "more")
+        if body != "default":
+            monkeypatch.setattr(dynamics, "TAIL_ROWS",
+                                0 if body == "per_step" else len(x))
+            monkeypatch.setattr(dynamics, "TAIL_BLOCK", 4)
+        got = roll_forward(_ulp_out, x.T, *rule, box)
+        want = reference_roll(_ulp_out, x, *rule, box)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2].tobytes() == want[2].tobytes()
+        # the oracle's rule retires every row, some of them converged; under
+        # the labels' none converges and some still run
+        assert want[0].any() == (len(want[1]) == 0) == (rule[1] > 0)
+        assert not want[0].all()
+
+    @pytest.mark.parametrize("body", ["per_step", "blocks"])
+    def test_out_of_box_runs_only_for_an_asymmetric_box(self, body, monkeypatch):
+        x = edge_states(EDGE_BOXES["symmetric"], ulps=8)
+        monkeypatch.setattr(dynamics, "TAIL_ROWS", 0 if body == "per_step" else len(x))
+        calls, real = [], dynamics.out_of_box
+        monkeypatch.setattr(dynamics, "out_of_box",
+                            lambda *args: calls.append(1) or real(*args))
+        for name, expect_calls in (("symmetric", False), ("asymmetric", True)):
+            calls.clear()
+            roll_forward(_ulp_out, x.T, 12, 0.1, 3, EDGE_BOXES[name])
+            assert bool(calls) == expect_calls, name

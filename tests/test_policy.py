@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from roagrow.policy import (SatParams, SatPolicy, crop_update, policy_eval,
                             policy_input, sat, sat_derivs)
 
+from reference import reference_sat
+
 
 def make_policy(a=0.2, b=-0.2, m_a=0.0, m_b=0.0, k=(1.0, 0.5),
                 trainable=(True, True, False, False)):
@@ -232,3 +234,57 @@ class TestCropUpdate:
         mask = np.array(trainable)
         assert np.all(delta[mask] <= r + 1e-12)
         assert np.all(delta[~mask] == 0.0)
+
+
+class TestZeroSlopeClamp:
+    """With both outer slopes 0, ``sat`` is a clamp that gives the piecewise
+    formula's bytes on every finite input."""
+
+    SHAPES = [SatParams(a=0.2, b=-0.2), SatParams(a=0.3, b=-0.25),
+              SatParams(a=1.7, b=0.4), SatParams(a=-0.1, b=-2.5),
+              SatParams(a=0.5, b=0.5)]
+
+    @pytest.mark.parametrize("psi", SHAPES, ids=lambda p: f"{p.b}_{p.a}")
+    def test_matches_piecewise_formula_bitwise(self, psi):
+        # 10**6 magnitudes from subnormal to 1e300 with both signs, ±0, and
+        # the thresholds themselves with one ulp to either side
+        rng = np.random.default_rng(31)
+        z = 10.0 ** rng.uniform(-323, 300, 10**6) * rng.choice([-1.0, 1.0], 10**6)
+        edges = np.array([psi.a, psi.b])
+        edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf), [0.0, -0.0, 5e-324,
+                                                              -5e-324]])
+        z = np.concatenate([z, edges])
+        assert np.isfinite(z).all() and (z < 1e-300).any()
+        assert sat(z, psi).tobytes() == reference_sat(z, psi).tobytes()
+        for e in edges:
+            assert sat(e, psi).tobytes() == reference_sat(e, psi).tobytes()
+
+    def test_nan_stays_nan(self):
+        psi = SatParams(a=0.3, b=-0.25)
+        out = sat(np.array([np.nan, 1.0, -np.nan, -1.0]), psi)
+        assert np.array_equal(np.isnan(out), [True, False, True, False])
+        assert np.isnan(sat(np.nan, psi))
+
+    def test_fresh_float64_array(self):
+        psi = SatParams(a=3.0, b=-2.0)
+        zi = np.arange(-5, 6)
+        out = sat(zi, psi)
+        assert out.dtype == np.float64 and out.shape == zi.shape
+        assert out.tobytes() == reference_sat(zi, psi).tobytes()
+        assert np.array_equal(out, np.clip(zi, -2, 3))
+        zf = np.linspace(-1.0, 1.0, 7)
+        kept = zf.copy()
+        got = sat(zf, psi)
+        assert not np.shares_memory(got, zf)
+        got[:] = 9.0
+        assert np.array_equal(zf, kept)
+
+    @pytest.mark.parametrize("slopes, want", [((0.0, 0.0), (0.3, -0.25)),
+                                              ((0.5, 0.25), (np.inf, -np.inf))],
+                             ids=["zero_slopes", "slopes"])
+    def test_infinities(self, slopes, want):
+        # zero slopes clamp ±inf to a and b, where 0 * inf would be NaN;
+        # nonzero slopes carry them through
+        psi = SatParams(a=0.3, b=-0.25, m_a=slopes[0], m_b=slopes[1])
+        assert np.array_equal(sat(np.array([np.inf, -np.inf]), psi), want)
