@@ -54,8 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre = sub.add_parser("pretrain", help="pretrain the Lyapunov net only")
     common(p_pre)
 
+    # the oracle draws no random numbers and writes no file: no --seed, --out
     p_oracle = sub.add_parser("oracle", help="brute-force RoA of the initial policy")
-    common(p_oracle)
+    p_oracle.add_argument("--config", metavar="PATH", help="key=value config file")
 
     p_rep = sub.add_parser("report", help="re-derive figure tables from metrics.csv")
     p_rep.add_argument("--out", metavar="DIR", required=True,

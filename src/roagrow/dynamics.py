@@ -152,12 +152,15 @@ def closed_loop(policy, params: PendulumParams) -> ClosedLoopMap:
     return ClosedLoopMap(policy, params)
 
 
-def out_of_box(states: np.ndarray, box) -> np.ndarray:
-    """Rows of ``states`` outside the rectangle ``((tlo, thi), (wlo, whi))``;
-    the in-box test is negated, so a row with a NaN counts as out."""
-    (tlo, thi), (wlo, whi) = box
-    th, om = states[..., 0], states[..., 1]
-    return ~((tlo <= th) & (th <= thi) & (wlo <= om) & (om <= whi))
+def out_of_box(ax: np.ndarray, box) -> np.ndarray:
+    """Rows outside ``box``, the half-widths ``(theta_hi, omega_hi)`` of
+    :meth:`~roagrow.grid.GridDomain.safety_box`, from ``ax = |x|`` with theta
+    and omega along axis -2.  The in-box test ``|theta| <= theta_hi and
+    |omega| <= omega_hi`` is negated, so a row with a NaN counts as out."""
+    theta_hi, omega_hi = box
+    inb = ax[..., 0, :] <= theta_hi
+    inb &= ax[..., 1, :] <= omega_hi
+    return np.logical_not(inb, out=inb)
 
 
 # The tail of a rollout: once at most TAIL_ROWS rows run, a step's
@@ -175,8 +178,9 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
 
     A row converges when it gets within ``ball_radius`` of the origin within
     ``k_max`` steps and stays within ``2 * ball_radius`` for the next
-    ``confirm_steps`` steps, and fails on leaving ``box``.  The ball test is
-    strict, so with ``ball_radius = 0`` a row retires only by leaving the box.
+    ``confirm_steps`` steps, and fails on leaving ``box``, the half-widths
+    that :func:`out_of_box` reads.  The ball test is strict, so with
+    ``ball_radius = 0`` a row retires only by leaving the box.
     ``f`` must be row-wise; each call passes it rows in ascending order as an
     ``(m, 2)`` view, so it must not assume C order.  The view's columns are
     contiguous in the blocks below, and in every step when ``f`` returns its
@@ -193,10 +197,8 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
 
     ``np.hypot`` runs only on rows inside the square ``max(|theta|, |omega|)
     < 2 * ball_radius``: a faithfully rounded hypot of any other row is at
-    least ``2 * ball_radius`` too, so inf stands in for it.  A NaN row fails.
-    A box symmetric about the origin (decided once from its four scalars) is
-    tested as ``|theta| <= thi and |omega| <= whi`` on the ``|x|`` the ball
-    test holds, which fails a NaN row too; any other box by :func:`out_of_box`.
+    least ``2 * ball_radius`` too, so inf stands in for it.  :func:`out_of_box`
+    tests the box on the same ``|x|``, and fails a NaN row.
 
     Returns ``(converged, running, x)``: the flags of every row, the rows
     still running after ``k_max + confirm_steps`` steps, in ascending order,
@@ -212,23 +214,13 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
     converged = np.zeros(len(idx), dtype=bool)
     wait = max(confirm_steps, 1)       # entered on step j: confirmed on j + wait
     k, end = 0, k_max + confirm_steps
-    (tlo, thi), (wlo, whi) = box
-    symmetric = tlo == -thi and wlo == -whi
-
-    def outside(x, ax):
-        if not symmetric:
-            return out_of_box(np.swapaxes(x, -1, -2), box)
-        # the in-box test negated, so that a NaN row fails
-        inb = ax[..., 0, :] <= thi
-        inb &= ax[..., 1, :] <= whi
-        return np.logical_not(inb, out=inb)
 
     while k < end and len(idx) > TAIL_ROWS:
         x = f(x.T).T
         # the box test and the hypot prefilter share |x|; hypot runs only
         # inside the square, outside it inf stands in
         near = np.abs(x)
-        failed = outside(x, near)
+        failed = out_of_box(near, box)
         near = near < 2 * ball_radius
         near = np.logical_and(near[0], near[1], out=near[0])
         nrm = np.hypot(x[0], x[1], out=np.full(len(idx), np.inf), where=near)
@@ -258,7 +250,7 @@ def roll_forward(f, x0, k_max: int, ball_radius: float, confirm_steps: int, box)
         for j in range(len(block)):
             block[j] = f((block[j - 1] if j else x).T).T
         near = np.abs(block)
-        failed = outside(block, near)
+        failed = out_of_box(near, box)
         near = near < 2 * ball_radius
         near = np.logical_and(near[:, 0], near[:, 1], out=near[:, 0])
         nrm = np.hypot(block[:, 0], block[:, 1], out=np.full(near.shape, np.inf),

@@ -81,10 +81,10 @@ class GridDomain:
         return base + off
 
     def safety_box(self, factor: float = 10.0):
-        """Rectangle scaled about the domain center; rollouts leaving it
-        are treated as diverged."""
-        tc = 0.5 * (self.theta_min + self.theta_max)
-        oc = 0.5 * (self.omega_min + self.omega_max)
-        th = 0.5 * (self.theta_max - self.theta_min) * factor
-        oh = 0.5 * (self.omega_max - self.omega_min) * factor
-        return ((tc - th, tc + th), (oc - oh, oc + oh))
+        """Half-widths ``(theta_hi, omega_hi)`` of the box ``|theta| <=
+        theta_hi, |omega| <= omega_hi``: the domain's hull about the origin,
+        scaled by ``factor``.  Rollouts leaving it are treated as diverged;
+        only :func:`~roagrow.dynamics.out_of_box` reads it.  On a domain
+        centred at the origin it is the domain scaled about its centre."""
+        return (max(-self.theta_min, self.theta_max) * factor,
+                max(-self.omega_min, self.omega_max) * factor)

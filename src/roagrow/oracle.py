@@ -61,11 +61,12 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
 
     A cell is attracted when its trajectory gets within ``ball_radius`` of the
     origin within ``k_max`` steps and stays within ``2 * ball_radius`` for the
-    following ``confirm_steps`` steps.  Trajectories leaving the safety box
-    are classified as not attracted.  ``f`` must meet the contract of
-    :func:`~roagrow.dynamics.roll_forward`, the loop the cells roll in: it
-    is row-wise, and once a part has ``TAIL_ROWS`` or fewer cells running it
-    may see a settled cell for up to ``TAIL_BLOCK - 1`` more steps.
+    following ``confirm_steps`` steps.  Trajectories leaving ``box`` (by
+    default ``grid.safety_box()``) are classified as not attracted.  ``f``
+    must meet the contract of :func:`~roagrow.dynamics.roll_forward`, the
+    loop the cells roll in: it is row-wise, and once a part has
+    ``TAIL_ROWS`` or fewer cells running it may see a settled cell for up to
+    ``TAIL_BLOCK - 1`` more steps.
 
     The cells are dealt into ``p = min(processes, usable CPUs, n_cells)``
     interleaved parts: part ``i`` holds cells ``i, i + p, i + 2p, ...``.  Part
@@ -77,11 +78,11 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
     oracle.
 
     When ``f`` is a :class:`~roagrow.dynamics.ClosedLoopMap` whose ``odd`` is
-    true, the grid is centred at the origin and the box is symmetric, only
-    cells ``0 ... ceil(n_cells / 2) - 1`` are rolled, split as above, and cell
+    true and the grid is centred at the origin, only cells ``0 ...
+    ceil(n_cells / 2) - 1`` are rolled, split as above, and cell
     ``n_cells - 1 - c`` takes cell ``c``'s verdict.  This is exact: its centre
     is bitwise the negation of cell ``c``'s, the odd map keeps every state so
-    up to the sign of a zero, and the tests read only ``|theta|``, ``|omega|``.
+    up to the sign of a zero, and the ball and box tests read only ``|x|``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -92,8 +93,7 @@ def true_roa(f, grid: GridDomain, k_max: int = 8000, ball_radius: float = 0.1,
 
     n = grid.n_cells
     mirror = (isinstance(f, ClosedLoopMap) and f.odd
-              and grid.theta_min == -grid.theta_max and grid.omega_min == -grid.omega_max
-              and box[0][0] == -box[0][1] and box[1][0] == -box[1][1])
+              and grid.theta_min == -grid.theta_max and grid.omega_min == -grid.omega_max)
     converged = np.empty(n, dtype=bool)
     rolled = converged[:(n + 1) // 2] if mirror else converged
     x0 = grid.centers()[:len(rolled)].T

@@ -69,7 +69,8 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
 
     Each step forms the saturation input z = -K x once; one ``sat_derivs``
     call gives the slope and du/dpsi, and the next state, which has the bits
-    of ``clm(x)``, comes from z too.  Diverged rows freeze at their last
+    of ``clm(x)``, comes from z too.  Rows that leave ``box`` (by
+    :func:`~roagrow.dynamics.out_of_box` on ``|x|``) freeze at their last
     in-box state; their remaining step Jacobians become the identity and
     their du/dpsi vanishes, so the reverse products truncate there.
     """
@@ -88,7 +89,7 @@ def _rollout_tape(clm, x0s: np.ndarray, steps: int, box):
         jac = np.multiply(dfdu[None, :, None], du_dx[:, None, :], out=jacs[k])
         jac += dfdx
         xn = step_euler(x, sat(z, psi), clm.params)
-        out = out_of_box(xn, box)
+        out = out_of_box(np.abs(xn).T, box)
         frozen = ~alive | out
         if frozen.any():
             jac[frozen] = eye
@@ -104,11 +105,12 @@ def bptt(clm, est: LevelSetEstimate, x0s, steps: int, lambda_u: float, box):
 
     ``loss`` = sum over the batch of [1 if V(x_T) < c else lambda_u] * V(x_T),
     x_T the rollout endpoint under ``clm``; the indicator weights are
-    constants of the frozen estimate, and a rollout flagged as diverged
-    contributes lambda_u * V at its last in-box state.  ``grad`` is its exact
-    reverse-accumulated gradient over trainable psi, (dL/dx_T)(dx_T/dx_k)
-    (d+ x_k/dpsi) summed over k, zero outside the trainable mask.  ``g_final``
-    is dL/dx_T per sample.
+    constants of the frozen estimate, and a rollout that leaves ``box``, the
+    half-widths of :meth:`~roagrow.grid.GridDomain.safety_box`, is flagged as
+    diverged and contributes lambda_u * V at its last in-box state.
+    ``grad`` is its exact reverse-accumulated gradient over trainable psi,
+    (dL/dx_T)(dx_T/dx_k) (d+ x_k/dpsi) summed over k, zero outside the
+    trainable mask.  ``g_final`` is dL/dx_T per sample.
     """
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float)).reshape(-1, 2)
     finals, diverged, jacs, psi_push = _rollout_tape(clm, x0s, steps, box)

@@ -115,7 +115,8 @@ def label_batch(x0s: np.ndarray, f_pi, est: LevelSetEstimate,
     """Split the batch by whether the rollout's final state lands in S_c.
 
     Rows roll forward in :func:`~roagrow.dynamics.roll_forward` with a
-    radius-0 ball, so a row retires, labeled out, only by leaving ``box``.
+    radius-0 ball, so a row retires, labeled out, only by leaving ``box``,
+    the half-widths of :meth:`~roagrow.grid.GridDomain.safety_box`.
     V runs on the whole batch in order, since its low bits depend on the
     batch size.
     """

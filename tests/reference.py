@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from roagrow.dynamics import LinearModel, out_of_box
+from roagrow.dynamics import LinearModel
 from roagrow.experiment import read_metrics
 from roagrow.grid import GridDomain
 from roagrow.oracle import RoaMask
@@ -159,6 +159,47 @@ def gap_growth_check(c: float, alphas, grid: GridDomain) -> dict:
     return out
 
 
+def reference_out_of_box(states: np.ndarray, box) -> np.ndarray:
+    """Rows of ``states``, shape ``(n, 2)`` or ``(2,)``, outside the box of
+    half-widths ``(theta_hi, omega_hi)``: the plain rule ``-theta_hi <= theta
+    <= theta_hi and -omega_hi <= omega <= omega_hi``, negated, so that a row
+    with a NaN counts as out."""
+    theta_hi, omega_hi = box
+    th, om = states[..., 0], states[..., 1]
+    return ~((-theta_hi <= th) & (th <= theta_hi)
+             & (-omega_hi <= om) & (om <= omega_hi))
+
+
+# half-widths of boxes for the box tests: an infinite and a zero half-width
+# among them
+EDGE_BOXES = {"symmetric": (1.5, 6.25),
+              "infinite_theta": (np.inf, 6.25),
+              "zero_theta": (0.0, 6.25)}
+
+
+def _edge_values(hi, ulps):
+    # each edge, and 1 to ``ulps`` ulps nearer zero and farther from it
+    vals = [0.0, -0.0, 0.3, -0.3]
+    for e in (-hi, hi):
+        inward = outward = e
+        vals.append(e)
+        for _ in range(ulps):
+            inward = np.nextafter(inward, 0.0)
+            outward = np.nextafter(outward, np.copysign(np.inf, outward))
+            vals += [inward, outward]
+    return vals
+
+
+def edge_states(box, ulps=1):
+    """Every pair of a theta and an omega taken from: each edge of the box of
+    half-widths ``box``, 1 to ``ulps`` ulps inside and outside it, ±0, ±0.3,
+    ±inf and NaN.  An ``(n, 2)`` array."""
+    special = [np.inf, -np.inf, np.nan]
+    th = _edge_values(box[0], ulps) + special
+    om = _edge_values(box[1], ulps) + special
+    return np.array(np.meshgrid(th, om)).reshape(2, -1).T
+
+
 def rollout_batch(f, x0s: np.ndarray, steps: int, box):
     """Advance a batch of states ``steps`` times, freezing diverged rows.
 
@@ -172,7 +213,7 @@ def rollout_batch(f, x0s: np.ndarray, steps: int, box):
         if not alive.any():
             break
         xn = np.asarray(f(x[alive]), dtype=float)
-        out = out_of_box(xn, box)
+        out = reference_out_of_box(xn, box)
         idx = np.flatnonzero(alive)
         diverged[idx[out]] = True
         x[idx[~out]] = xn[~out]

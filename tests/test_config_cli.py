@@ -386,6 +386,13 @@ class TestCli:
         assert (tmp_path / "o" / "net_pretrained.ckpt").exists()
         assert (tmp_path / "o" / "pretrain_v.pgm").exists()
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "o"]],
+                             ids=["seed", "out"])
+    def test_oracle_rejects_seed_and_out(self, flag, capsys):
+        # the oracle draws no random numbers and writes no file
+        assert main(["oracle", *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_oracle_subcommand_prints_fraction(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("oracle_kmax = 300\n")

@@ -4,15 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import roagrow.dynamics as dynamics
 import roagrow.oracle as oracle
-from roagrow.dynamics import ClosedLoopMap, closed_loop, out_of_box, roll_forward
+from roagrow.dynamics import ClosedLoopMap, closed_loop, roll_forward
 from roagrow.grid import GridDomain
 from roagrow.oracle import (RoaMask, load_mask_pgm, save_mask_csv,
                             save_mask_pgm, true_roa)
 
-from reference import gap_growth_check, rollout_batch, sym_diff_measure
+from reference import (EDGE_BOXES, edge_states, gap_growth_check,
+                       reference_out_of_box, rollout_batch, sym_diff_measure)
 
 
 class TestGridDomain:
@@ -74,9 +76,38 @@ class TestGridDomain:
         assert np.all(np.abs(pts[:, 1] - c[:, 1]) <= grid.cell_width_omega / 2)
 
     def test_safety_box_scales_extent(self, grid):
-        (tlo, thi), (wlo, whi) = grid.safety_box(10.0)
-        assert tlo == pytest.approx(-10 * np.pi / 2)
+        thi, whi = grid.safety_box(10.0)
+        assert thi == pytest.approx(10 * np.pi / 2)
         assert whi == pytest.approx(10 * 2 * np.pi)
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0, 10.0, 0.1 + 0.2, 1e300])
+    def test_centred_safety_box_has_the_interval_edges(self, factor):
+        # the half-widths are bitwise the upper edges of the interval scaled
+        # about the centre, whose lower edges are their negations
+        rng = np.random.default_rng(3)
+        for th, om in [(np.pi / 2, 2 * np.pi), *rng.uniform(1e-3, 1e3, (20, 2))]:
+            g = GridDomain(-th, th, -om, om)
+            want = []
+            for lo, hi in ((g.theta_min, g.theta_max), (g.omega_min, g.omega_max)):
+                centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * factor
+                assert centre - half == -(centre + half)
+                want.append(centre + half)
+            assert np.array(g.safety_box(factor)).tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-1e100, 1e100), min_size=4, max_size=4),
+           st.floats(1.0, 1e100))
+    def test_safety_box_holds_the_box_about_the_centre(self, edges, factor):
+        # off the origin the half-widths give the domain's hull about it: a
+        # box that holds the domain scaled about its centre, up to rounding
+        (tlo, thi), (wlo, whi) = sorted(edges[:2]), sorted(edges[2:])
+        assume(tlo < thi and wlo < whi)
+        g = GridDomain(tlo, thi, wlo, whi)
+        for (lo, hi), half_width in zip(((tlo, thi), (wlo, whi)), g.safety_box(factor)):
+            centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * factor
+            slack = 8 * np.spacing(half_width)
+            assert -half_width - slack <= centre - half
+            assert centre + half <= half_width + slack
 
 
 SMALL_GRID = GridDomain(n_theta=12, n_omega=12)
@@ -191,14 +222,14 @@ def reference_roll(f, x0s, k_max, ball_radius, confirm_steps, box):
     """The rule of :func:`reference_roa` for each row of ``x0s`` on its own,
     with the rows still running at the end and their states:
     ``roll_forward``'s ``(converged, running, x)``."""
-    (tlo, thi), (wlo, whi) = box
+    thi, whi = box
     converged, running, finals = [], [], []
     for i, x in enumerate(x0s):
         confirmed = 0 if np.hypot(x[0], x[1]) < ball_radius else None
         verdict, stopped = False, False
         for k in range(k_max + confirm_steps):
             x = f(x[None, :])[0]
-            if not (tlo <= x[0] <= thi and wlo <= x[1] <= whi):
+            if not (-thi <= x[0] <= thi and -whi <= x[1] <= whi):
                 stopped = True
                 break
             r = np.hypot(x[0], x[1])
@@ -483,10 +514,9 @@ class TestMirroredOracle:
             full = true_roa(lambda x: f(x), grid, k_max)
             assert mirrored.values.tobytes() == full.values.tobytes(), a
 
-    def test_mirror_needs_odd_map_centred_grid_and_symmetric_box(
-            self, initial_policy, params):
+    def test_mirror_needs_odd_map_and_centred_grid(self, initial_policy, params):
         centred = GridDomain(n_theta=10, n_omega=7)
-        box = ((-10.0, 10.0), (-30.0, 30.0))
+        box = (10.0, 30.0)
         odd = shaped(initial_policy, 0.3, -0.3)
         # name -> (policy, grid, box, rows of the first map call)
         cases = {
@@ -498,8 +528,6 @@ class TestMirroredOracle:
                                  box, 70),
             "omega_off_centre": (odd, GridDomain(omega_min=-6.0, omega_max=6.5,
                                                  n_theta=10, n_omega=7), box, 70),
-            "theta_box": (odd, centred, ((-10.0, 10.5), (-30.0, 30.0)), 70),
-            "omega_box": (odd, centred, ((-10.0, 10.0), (-29.0, 30.0)), 70),
         }
         for name, (policy, grid, box, rows) in cases.items():
             f = CountingMap(policy, params)
@@ -621,39 +649,6 @@ class TestMaskSerialization:
         assert np.all(mask.values[ring])
 
 
-# boxes for the box test of roll_forward: three symmetric about the origin
-# (an infinite and a zero half-width among them), whose test reads |x|, and
-# one asymmetric, which takes out_of_box
-EDGE_BOXES = {"symmetric": ((-1.5, 1.5), (-6.25, 6.25)),
-              "infinite_theta": ((-np.inf, np.inf), (-6.25, 6.25)),
-              "zero_theta": ((-0.0, 0.0), (-6.25, 6.25)),
-              "asymmetric": ((-1.5, 1.25), (-6.25, 6.5))}
-
-
-def _edge_values(lo, hi, ulps):
-    # each bound, and 1 to ``ulps`` ulps nearer zero and farther from it
-    vals = [0.0, -0.0, 0.3, -0.3]
-    for e in (lo, hi):
-        inward = outward = e
-        vals.append(e)
-        for _ in range(ulps):
-            inward = np.nextafter(inward, 0.0)
-            outward = np.nextafter(outward, np.copysign(np.inf, outward))
-            vals += [inward, outward]
-    return vals
-
-
-def edge_states(box, ulps=1):
-    """Every pair of a theta and an omega taken from: each edge of ``box``,
-    1 to ``ulps`` ulps inside and outside it, ±0, ±0.3, ±inf and NaN.  An
-    ``(n, 2)`` array."""
-    (tlo, thi), (wlo, whi) = box
-    special = [np.inf, -np.inf, np.nan]
-    th = _edge_values(tlo, thi, ulps) + special
-    om = _edge_values(wlo, whi, ulps) + special
-    return np.array(np.meshgrid(th, om)).reshape(2, -1).T
-
-
 def _ulp_out(x):
     # rows in the unit disc halve; elsewhere a nonzero coordinate moves one
     # ulp away from zero per step, so a row k ulps inside an edge leaves on
@@ -667,12 +662,13 @@ class TestSymmetricBox:
     @pytest.mark.parametrize("box", sorted(EDGE_BOXES))
     def test_box_test_matches_out_of_box(self, box, body, monkeypatch):
         # one identity step under a radius-0 ball: a row is still running
-        # exactly when out_of_box calls its state in the box
+        # exactly when the plain four-comparison rule calls its state in the
+        # box
         box = EDGE_BOXES[box]
         x = edge_states(box)
         monkeypatch.setattr(dynamics, "TAIL_ROWS", 0 if body == "per_step" else len(x))
         converged, running, final = roll_forward(lambda s: s.copy(), x.T, 1, 0.0, 0, box)
-        inside = ~out_of_box(x, box)
+        inside = ~reference_out_of_box(x, box)
         assert inside.any() and not inside.all()
         assert not converged.any()
         assert np.array_equal(running, np.flatnonzero(inside))
@@ -684,7 +680,7 @@ class TestSymmetricBox:
                              ids=["oracle", "labels"])
     @pytest.mark.parametrize("rows", ["more", "fewer"])
     @pytest.mark.parametrize("body", ["default", "per_step", "blocks"])
-    @pytest.mark.parametrize("box", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("box", ["symmetric", "zero_theta"])
     def test_roll_from_the_edge_matches_per_row_rule(self, box, body, rows, rule,
                                                      monkeypatch):
         box = EDGE_BOXES[box]
@@ -705,15 +701,3 @@ class TestSymmetricBox:
         # the labels' none converges and some still run
         assert want[0].any() == (len(want[1]) == 0) == (rule[1] > 0)
         assert not want[0].all()
-
-    @pytest.mark.parametrize("body", ["per_step", "blocks"])
-    def test_out_of_box_runs_only_for_an_asymmetric_box(self, body, monkeypatch):
-        x = edge_states(EDGE_BOXES["symmetric"], ulps=8)
-        monkeypatch.setattr(dynamics, "TAIL_ROWS", 0 if body == "per_step" else len(x))
-        calls, real = [], dynamics.out_of_box
-        monkeypatch.setattr(dynamics, "out_of_box",
-                            lambda *args: calls.append(1) or real(*args))
-        for name, expect_calls in (("symmetric", False), ("asymmetric", True)):
-            calls.clear()
-            roll_forward(_ulp_out, x.T, 12, 0.1, 3, EDGE_BOXES[name])
-            assert bool(calls) == expect_calls, name

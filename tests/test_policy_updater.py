@@ -9,9 +9,10 @@ from roagrow.policy_updater import (_diagnostics, _rollout_tape, bptt,
                                     sample_policy_batch, update_policy)
 from roagrow.roa_estimator import LevelSetEstimate
 
-from reference import cell_index, jacobian_product_norms, rollout_batch
+from reference import (EDGE_BOXES, cell_index, edge_states,
+                       jacobian_product_norms, rollout_batch)
 
-BIG_BOX = ((-1e9, 1e9), (-1e9, 1e9))
+BIG_BOX = (1e9, 1e9)
 
 
 class QuadV:
@@ -129,7 +130,7 @@ class TestPolicyLoss:
             scale = 2.0
 
         est = LevelSetEstimate(QuadV(), 1e9)   # value never exceeds the level
-        box = ((-1.0, 1.0), (-1.0, 1.0))
+        box = (1.0, 1.0)
         x = np.array([[0.6, 0.0]])
         loss = bptt(Expand(), est, x, 10, 10.0, box)[0]
         # one step hits 1.2 and leaves the box; the clipped state is 0.6
@@ -218,6 +219,24 @@ class TestRolloutTape:
         box = grid.safety_box(1.0)
         finals, diverged = _rollout_tape(f_initial, x0s, 10, box)[:2]
         expect, expect_diverged = rollout_batch(f_initial, x0s, 10, box)
+        assert 0 < diverged.sum() < len(x0s)
+        assert np.array_equal(diverged, expect_diverged)
+        assert finals.tobytes() == expect.tobytes()
+
+    # dt 1e-300 keeps a state of the box's edges where it is, bar a zero
+    # coordinate: a row 1 ulp out freezes at its start, one 1 ulp in runs on
+    @pytest.mark.parametrize("dt", [0.01, 1e-300], ids=["pendulum", "near_identity"])
+    @pytest.mark.parametrize("box", sorted(EDGE_BOXES))
+    def test_rows_from_the_edge_freeze_where_rollout_batch_freezes_them(
+            self, box, dt, initial_policy, params):
+        box = EDGE_BOXES[box]
+        x0s = edge_states(box)
+        clm = closed_loop(initial_policy, replace(params, dt=dt))
+        # the pendulum turns ±inf and NaN states into NaN, and the infinite
+        # box's edge, the largest float, overflows
+        with np.errstate(invalid="ignore", over="ignore"):
+            finals, diverged = _rollout_tape(clm, x0s, 5, box)[:2]
+            expect, expect_diverged = rollout_batch(clm, x0s, 5, box)
         assert 0 < diverged.sum() < len(x0s)
         assert np.array_equal(diverged, expect_diverged)
         assert finals.tobytes() == expect.tobytes()

@@ -113,7 +113,7 @@ class TestLabelBatch:
 
     def test_divergent_labels_out(self, grid):
         est = LevelSetEstimate(QuadV(), 1e9)  # everything inside by value
-        box = ((-1.0, 1.0), (-1.0, 1.0))
+        box = (1.0, 1.0)
         lab = label_batch(np.array([[0.9, 0.9]]), expand, est, 10, box)
         assert len(lab.x_out) == 1
 
