@@ -96,7 +96,7 @@ def _cmd_pretrain(cfg: RedesignConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
-    net, stats, _ = pretrain_net(cfg, grid, rng)
+    net, stats, _ = pretrain_net(cfg, rng)
     save_net(net, out / "net_pretrained.ckpt")
     emit_heatmap(net.value(grid.centers()), out / "pretrain_v.pgm",
                  grid.n_theta, grid.n_omega)

@@ -115,6 +115,7 @@ class RedesignConfig:
         checks = [
             (self.lqr_q > 0, "lqr_q", "must be positive"),
             (self.lqr_r > 0, "lqr_r", "must be positive"),
+            (self.crop_radius > 0, "crop_radius", "must be positive"),
             (self.variant in VARIANTS, "variant", f"must be one of {VARIANTS}"),
             (self.pd_eps > 0, "pd_eps", "must be positive"),
             (self.pretrain_target in ("lqr", "isotropic"), "pretrain_target",
@@ -174,8 +175,7 @@ class RedesignConfig:
 
     def initial_policy(self, k) -> SatPolicy:
         return SatPolicy(k=np.asarray(k, dtype=float).reshape(2),
-                         psi=self.initial_sat_params(),
-                         crop_radius=self.crop_radius)
+                         psi=self.initial_sat_params())
 
     def batch_size(self, phase: int) -> int:
         """Sampled-state count for 1-indexed phase ``phase``."""

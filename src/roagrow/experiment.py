@@ -34,7 +34,6 @@ import numpy as np
 
 from .config import RedesignConfig, dump_config
 from .dynamics import LinearModel, closed_loop, dare_lqr, step_jacobians
-from .grid import GridDomain
 from .lyapunov import (PDLyapunovNet, pretrain_quadratic,
                        quadratic_target, save_net)
 from .oracle import _start_in_child, save_mask_csv, save_mask_pgm, true_roa
@@ -170,10 +169,10 @@ def _design_lqr(cfg: RedesignConfig):
     return k.reshape(2), p_mat
 
 
-def pretrain_target_values(cfg: RedesignConfig, grid: GridDomain, p_mat):
-    """Per-cell pretraining targets: either the isotropic quadratic or the
-    LQR cost-to-go shape rescaled to the same overall magnitude."""
-    pts = grid.centers()
+def pretrain_target_values(cfg: RedesignConfig, p_mat):
+    """Pretraining targets at the cell centres of ``cfg.grid()``: the isotropic
+    quadratic, or the LQR shape x^T P x rescaled to the same overall magnitude."""
+    pts = cfg.grid().centers()
     iso = quadratic_target(pts, cfg.pretrain_coeff)
     if cfg.pretrain_target == "isotropic":
         return iso
@@ -181,13 +180,13 @@ def pretrain_target_values(cfg: RedesignConfig, grid: GridDomain, p_mat):
     return iso.mean() / v_p.mean() * v_p
 
 
-def pretrain_net(cfg: RedesignConfig, grid: GridDomain, rng) -> tuple:
-    """Initialize and pretrain the Lyapunov net per the configuration; returns
-    ``(net, stats, k_gain)``, with the LQR gain the target came from."""
+def pretrain_net(cfg: RedesignConfig, rng) -> tuple:
+    """Initialize and pretrain the Lyapunov net on the centres of ``cfg.grid()``;
+    returns ``(net, stats, k_gain)``, with the LQR gain the target came from."""
     k_gain, p_mat = _design_lqr(cfg)
     net = PDLyapunovNet.initialize(rng, cfg.net_widths(), cfg.pd_eps)
-    stats = pretrain_quadratic(net, grid.centers(),
-                               pretrain_target_values(cfg, grid, p_mat), rng,
+    stats = pretrain_quadratic(net, cfg.grid().centers(),
+                               pretrain_target_values(cfg, p_mat), rng,
                                lr=cfg.pretrain_lr, steps=cfg.pretrain_steps,
                                batch=cfg.pretrain_batch)
     return net, stats, k_gain
@@ -273,10 +272,9 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
 
     try:
         t0 = time.perf_counter()
-        net, pre, k_gain = pretrain_net(cfg, grid, rng)
+        net, pre, k_gain = pretrain_net(cfg, rng)
         policy = cfg.initial_policy(k_gain)
-        f_builder = lambda pol: closed_loop(pol, params)
-        f_cur = f_builder(policy)
+        f_cur = closed_loop(policy, params)
         note_time("pretrain", t0)
         log.info("pretraining MSE %.4g -> %.4g", pre["initial_mse"], pre["final_mse"])
         save_net(net, out / "checkpoints" / "net_phase_00.ckpt")
@@ -299,7 +297,7 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
         for phase in range(1, cfg.phases + 1):
             t0 = time.perf_counter()
             est, v_grid, growth = estimate_roa(prev_est, v_grid, f_cur, cfg,
-                                               cfg.batch_size(phase), grid, rng)
+                                               phase, rng)
             note_time(f"estimate_phase_{phase:02d}", t0)
             growth_rows[:] = [dict(phase=phase, iter=rec.iteration, kind="growth",
                                    level_c=rec.level, est_fraction=rec.est_fraction,
@@ -310,9 +308,8 @@ def run_redesign(cfg: RedesignConfig, out_dir=None) -> Path:
             save_net(est.net, out / "checkpoints" / f"net_phase_{phase:02d}.ckpt")
 
             t0 = time.perf_counter()
-            policy, rec = update_policy(policy, est, v_grid, f_builder, cfg,
-                                        cfg.batch_size(phase), grid, rng)
-            f_cur = f_builder(policy)
+            policy, rec = update_policy(policy, est, v_grid, cfg, phase, rng)
+            f_cur = closed_loop(policy, params)
             note_time(f"policy_phase_{phase:02d}", t0)
 
             mask = collect()

@@ -55,17 +55,14 @@ class SatParams:
 
 @dataclass(frozen=True)
 class SatPolicy:
-    """LQR gain plus saturation shape; the full trainable controller."""
+    """The controller u = sat_psi(-K x) as the pair (K, psi)."""
 
     k: np.ndarray                      # (2,), feedback law u = sat(-k @ x)
     psi: SatParams
-    crop_radius: float = 0.1
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.k)):
             raise ValueError("k must be finite")
-        if not self.crop_radius > 0:
-            raise ValueError("crop_radius must be positive")
 
 
 def sat(z, psi: SatParams):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RedesignConfig
-from .dynamics import out_of_box, step_euler, step_jacobians
+from .dynamics import closed_loop, out_of_box, step_euler, step_jacobians
 from .grid import GridDomain
 from .policy import (SatPolicy, crop_update, policy_input, project_psi, sat,
                      sat_derivs)
@@ -147,26 +147,28 @@ def _diagnostics(grad, g_final):
 
 
 def update_policy(pol: SatPolicy, est: LevelSetEstimate, v_grid: np.ndarray,
-                  f_builder, cfg: RedesignConfig, batch_size: int,
-                  grid: GridDomain, rng: np.random.Generator):
-    """One policy phase: sample a batch, descend the loss, crop the change.
+                  cfg: RedesignConfig, phase: int, rng: np.random.Generator):
+    """Phase ``phase``'s policy update: sample a batch, descend, crop.
 
-    ``v_grid`` holds the estimate's V at the cell centres.  Returns
-    ``(new_policy, record)``.  The batch of ``batch_size`` states (the
-    phase's ``cfg.batch_size(phase)``) is drawn once per phase and descended
-    for ``cfg.policy_sgd_steps`` steps; the final parameters are cropped
-    against the phase-start values so the induced RoA cannot jump.
+    ``v_grid`` holds the estimate's V at the centres of ``cfg.grid()``.
+    Returns ``(new_policy, record)``.  The ``cfg.batch_size(phase)`` states
+    are drawn once and descended for ``cfg.policy_sgd_steps`` :func:`bptt`
+    steps through ``closed_loop(pol, cfg.pendulum_params())``; psi then moves
+    at most ``cfg.crop_radius`` per entry, so the induced RoA cannot jump.
     """
+    grid = cfg.grid()
     box = grid.safety_box(cfg.safety_box_factor)
-    x0s, gap_empty = sample_policy_batch(v_grid, est.c, cfg, batch_size, grid, rng)
+    params = cfg.pendulum_params()
+    x0s, gap_empty = sample_policy_batch(v_grid, est.c, cfg, cfg.batch_size(phase),
+                                         grid, rng)
     start_psi = pol.psi
     for _ in range(cfg.policy_sgd_steps):
-        clm = f_builder(pol)
-        _, grad, _ = bptt(clm, est, x0s, cfg.rollout_steps_p, cfg.lambda_u, box)
+        _, grad, _ = bptt(closed_loop(pol, params), est, x0s,
+                          cfg.rollout_steps_p, cfg.lambda_u, box)
         vec = project_psi(pol.psi.as_array() - cfg.policy_lr * grad)
         pol = replace(pol, psi=pol.psi.with_array(vec))
     pol = replace(pol, psi=crop_update(start_psi, pol.psi.as_array(),
-                                       pol.crop_radius))
-    loss, grad, g_final = bptt(f_builder(pol), est, x0s,
+                                       cfg.crop_radius))
+    loss, grad, g_final = bptt(closed_loop(pol, params), est, x0s,
                                cfg.rollout_steps_p, cfg.lambda_u, box)
     return pol, PolicyUpdateRecord(loss, *_diagnostics(grad, g_final), gap_empty)

@@ -218,15 +218,14 @@ def line_search_level(net: PDLyapunovNet, v: np.ndarray, images: np.ndarray,
 
 
 def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, f_pi,
-                 cfg: RedesignConfig, batch_size: int, grid: GridDomain,
-                 rng: np.random.Generator):
-    """Run the growth loop and return ``(estimate, v_grid, records)``.
+                 cfg: RedesignConfig, phase: int, rng: np.random.Generator):
+    """Run phase ``phase``'s growth loop; return ``(estimate, v_grid, records)``.
 
     Training starts from a copy of the previous phase's net; ``prev_est``
     stays frozen and only feeds the monotonicity target, V_prev(f_pi(x_in)),
-    and ``prev_v`` holds the previous net's V at the cell centres.  Each of the
-    ``cfg.growth_iters`` iterations samples ``batch_size`` states (the
-    phase's ``cfg.batch_size(phase)``), takes an equal share of
+    and ``prev_v`` holds the previous net's V at the centres of ``cfg.grid()``.
+    Each of the ``cfg.growth_iters`` iterations samples and labels
+    ``cfg.batch_size(phase)`` states, takes an equal share of
     ``cfg.roa_sgd_steps``, at least one step, evaluates the net on the grid
     once, at the centres, and line-searches the level on a prefix of the
     centres' images under ``f_pi``; the values at the centres also serve the
@@ -238,6 +237,7 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, f_pi,
     estimate found earlier in the phase; ``v_grid`` holds its V at the cell
     centres.
     """
+    grid = cfg.grid()
     box = grid.safety_box(cfg.safety_box_factor)
     net = prev_est.net.copy()
     work = Workspace(net, np.float32)
@@ -250,7 +250,7 @@ def estimate_roa(prev_est: LevelSetEstimate, prev_v: np.ndarray, f_pi,
     best_frac = -1.0
     for m in range(1, cfg.growth_iters + 1):
         x0s, gap_empty = sample_mixture(v, c, cfg.gamma_r, cfg.beta_r,
-                                        batch_size, grid, rng)
+                                        cfg.batch_size(phase), grid, rng)
         labeled = label_batch(x0s, f_pi, LevelSetEstimate(net, c),
                               cfg.rollout_steps_r, box)
         x_in, x_out = labeled.x_in, labeled.x_out

@@ -65,10 +65,10 @@ def small_net():
 
 
 @pytest.fixture(scope="session")
-def pretrained(cfg, grid):
+def pretrained(cfg):
     """Fully pretrained net (session-scoped, ~10 s)."""
     rng = np.random.default_rng(cfg.seed)
-    return pretrain_net(cfg, grid, rng)
+    return pretrain_net(cfg, rng)
 
 
 @pytest.fixture(scope="session")

@@ -167,7 +167,6 @@ NAN_FIELDS = {
                  "n_theta", "n_omega")},
     **{f"SatParams.{k}": (lambda k=k: SatParams(**{k: NAN}))
        for k in ("a", "b", "m_a", "m_b")},
-    "SatPolicy.crop_radius": lambda: SatPolicy(np.zeros(2), SatParams(), NAN),
     "crop_update.crop_radius": lambda: crop_update(SatParams(), np.zeros(4), NAN),
     "LevelSetEstimate.c": lambda: LevelSetEstimate(
         PDLyapunovNet.initialize(np.random.default_rng(0), (2, 2)), NAN),
@@ -205,7 +204,7 @@ FIELD_CHECKS = [
     (GridDomain, "theta_max", INF), (GridDomain, "n_theta", 1),
     (GridDomain, "n_omega", 1), (SatParams, "b", 0.3), (SatParams, "m_a", -0.1),
     (SatParams, "m_b", -0.1), (SatParams, "trainable", (True,)),
-    (SatPolicy, "k", np.array([NAN, 0.0])), (SatPolicy, "crop_radius", 0.0),
+    (SatPolicy, "k", np.array([NAN, 0.0])),
 ]
 
 
@@ -232,7 +231,6 @@ class TestLibraryDefaults:
         assert PendulumParams() == self.cfg.pendulum_params()
         assert GridDomain() == self.cfg.grid()
         assert SatParams() == self.cfg.initial_sat_params()
-        assert _default(SatPolicy, "crop_radius") == self.cfg.crop_radius
         assert _default(GridDomain.safety_box, "factor") == self.cfg.safety_box_factor
 
     def test_oracle(self):

@@ -564,7 +564,7 @@ class TestMeasures:
         from roagrow.dynamics import closed_loop
 
         pol = cfg.initial_policy(lqr[0])
-        bumped = replace(pol, psi=replace(pol.psi, a=pol.psi.a + pol.crop_radius))
+        bumped = replace(pol, psi=replace(pol.psi, a=pol.psi.a + cfg.crop_radius))
         m1 = true_roa(closed_loop(pol, params), grid, k_max=1500)
         m2 = true_roa(closed_loop(bumped, params), grid, k_max=1500)
         d = sym_diff_measure(m1, m2)

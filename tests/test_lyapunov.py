@@ -351,7 +351,7 @@ class TestPretraining:
 
         net, p_mat = pretrained[0], lqr[1]
         v = net.value(grid.centers())
-        target = pretrain_target_values(cfg, grid, p_mat)
+        target = pretrain_target_values(cfg, p_mat)
         corr = np.corrcoef(v, target)[0, 1]
         assert corr > 0.95
 

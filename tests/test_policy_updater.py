@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import roagrow.policy_updater as policy_updater
+from roagrow.config import RedesignConfig
 from roagrow.dynamics import ClosedLoopMap, closed_loop
 from roagrow.policy import SatParams, SatPolicy
 from roagrow.policy_updater import (_diagnostics, _rollout_tape, bptt,
@@ -277,35 +278,34 @@ class TestSignalDiagnostics:
 
 class TestUpdatePolicy:
     def test_zero_steps_returns_same_policy(self, initial_policy, pretrained,
-                                            pretrained_level, grid, cfg, params):
+                                            pretrained_level, cfg):
         est = LevelSetEstimate(pretrained[0], 0.05)
         no_steps = replace(cfg, policy_sgd_steps=0)
-        fb = lambda p: closed_loop(p, params)
-        new, rec = update_policy(initial_policy, est, pretrained_level[0], fb,
-                                 no_steps, no_steps.batch_size(1), grid,
-                                 np.random.default_rng(0))
+        new, rec = update_policy(initial_policy, est, pretrained_level[0],
+                                 no_steps, 1, np.random.default_rng(0))
         assert new.psi == initial_policy.psi
 
+    # the policy comes from the default config; the crop radius is the run's
+    @pytest.mark.parametrize("crop_radius", [RedesignConfig.crop_radius, 0.01],
+                             ids=["default", "0.01"])
     def test_crop_bound_enforced(self, initial_policy, pretrained,
-                                 pretrained_level, grid, cfg, params):
+                                 pretrained_level, cfg, crop_radius):
         v0, c0 = pretrained_level
         est = LevelSetEstimate(pretrained[0], c0)
-        short = replace(cfg, policy_sgd_steps=50)
-        fb = lambda p: closed_loop(p, params)
-        new, rec = update_policy(initial_policy, est, v0, fb, short,
-                                 short.batch_size(1), grid, np.random.default_rng(1))
+        short = replace(cfg, policy_sgd_steps=50, crop_radius=crop_radius)
+        new, rec = update_policy(initial_policy, est, v0, short, 1,
+                                 np.random.default_rng(1))
         delta = np.abs(new.psi.as_array() - initial_policy.psi.as_array())
-        assert np.all(delta <= initial_policy.crop_radius + 1e-12)
+        assert np.all(delta <= short.crop_radius + 1e-12)
         assert new.psi.b <= new.psi.a
 
     def test_thresholds_move_outward(self, initial_policy, pretrained,
-                                     pretrained_level, grid, cfg, params):
+                                     pretrained_level, cfg):
         # the experiment-1 direction: the updater relaxes the suppression
         v0, c0 = pretrained_level
         est = LevelSetEstimate(pretrained[0], c0)
-        fb = lambda p: closed_loop(p, params)
-        new, rec = update_policy(initial_policy, est, v0, fb, cfg, cfg.batch_size(1),
-                                 grid, np.random.default_rng(2))
+        new, rec = update_policy(initial_policy, est, v0, cfg, 1,
+                                 np.random.default_rng(2))
         assert new.psi.a > initial_policy.psi.a
         assert new.psi.b < initial_policy.psi.b
 
@@ -313,19 +313,18 @@ class TestUpdatePolicy:
                                                 params, monkeypatch):
         est = LevelSetEstimate(QuadV(), 1.0)
         short = replace(cfg, policy_sgd_steps=3)
-        fb = lambda p: closed_loop(p, params)
         x0s, _ = sample_policy_batch(quad_grid(grid), est.c, short,
                                      short.batch_size(1), grid,
                                      np.random.default_rng(4))
         passes = []
         monkeypatch.setattr(policy_updater, "bptt",
                             lambda *a: passes.append(1) or bptt(*a))
-        new, rec = update_policy(initial_policy, est, quad_grid(grid), fb, short,
-                                 short.batch_size(1), grid, np.random.default_rng(4))
+        new, rec = update_policy(initial_policy, est, quad_grid(grid), short, 1,
+                                 np.random.default_rng(4))
         assert len(passes) == short.policy_sgd_steps + 1
         # the report is the one a fresh pass gives for the final policy
-        args = (fb(new), est, x0s, short.rollout_steps_p, short.lambda_u,
-                grid.safety_box(short.safety_box_factor))
+        args = (closed_loop(new, params), est, x0s, short.rollout_steps_p,
+                short.lambda_u, grid.safety_box(short.safety_box_factor))
         loss, *tape = bptt(*args)
         assert rec.loss == loss
         assert (rec.grad_norm_final, rec.grad_norm_psi) == _diagnostics(*tape)

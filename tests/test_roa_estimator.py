@@ -501,8 +501,7 @@ class TestEstimateRoa:
         v0, c0 = pretrained_level
         prev = LevelSetEstimate(pretrained[0], c0)
         short = replace(cfg, growth_iters=5, roa_sgd_steps=500)
-        est, v, records = estimate_roa(prev, v0, f_initial, short,
-                                       short.batch_size(1), grid,
+        est, v, records = estimate_roa(prev, v0, f_initial, short, 1,
                                        np.random.default_rng(1))
         assert len(records) == 5
         centers = grid.centers()
@@ -513,14 +512,13 @@ class TestEstimateRoa:
         assert np.all(dv[inside] < 0)
 
     def test_deterministic_under_seed(self, pretrained, pretrained_level,
-                                      f_initial, grid, cfg):
+                                      f_initial, cfg):
         prev = LevelSetEstimate(pretrained[0], 0.05)
         short = replace(cfg, growth_iters=3, roa_sgd_steps=300)
         outs = []
         for _ in range(2):
             est, _, recs = estimate_roa(prev, pretrained_level[0], f_initial,
-                                        short, short.batch_size(1),
-                                        grid, np.random.default_rng(3))
+                                        short, 1, np.random.default_rng(3))
             outs.append((est.net.params, est.c,
                          [r.est_fraction for r in recs]))
         assert np.array_equal(outs[0][0], outs[1][0])
@@ -537,8 +535,8 @@ class TestEstimateRoa:
                             lambda net, x: rows.append(len(x)) or value(net, x))
         prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
         short = replace(cfg, growth_iters=3, roa_sgd_steps=30)
-        estimate_roa(prev, pretrained_level[0], f_initial, short,
-                     short.batch_size(1), grid, np.random.default_rng(2))
+        estimate_roa(prev, pretrained_level[0], f_initial, short, 1,
+                     np.random.default_rng(2))
         assert rows.count(grid.n_cells) == short.growth_iters
         assert sum(rows) < 2 * short.growth_iters * grid.n_cells
 
@@ -552,8 +550,7 @@ class TestEstimateRoa:
         prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
         short = replace(cfg, growth_iters=2, roa_sgd_steps=10)
         est, v, records = estimate_roa(prev, pretrained_level[0], f_initial, short,
-                                       short.batch_size(1), grid,
-                                       np.random.default_rng(4))
+                                       1, np.random.default_rng(4))
         assert dtypes == [(np.float32, np.float32)] * short.roa_sgd_steps
         assert est.net.params.dtype == v.dtype == np.float64
         assert all(isinstance(r.loss, float) for r in records)
@@ -561,8 +558,8 @@ class TestEstimateRoa:
         value, grad = est.net.grad_x(centers[:9])
         assert est.net.value(centers).dtype == value.dtype == grad.dtype == np.float64
 
-    def test_every_sample_labelled_out(self, pretrained, pretrained_level, grid,
-                                       cfg, monkeypatch):
+    def test_every_sample_labelled_out(self, pretrained, pretrained_level, cfg,
+                                       monkeypatch):
         # a map that leaves the safety box in one step: no sample is labelled
         # in, so the in-rows, their images and the monotonicity targets are
         # empty batches
@@ -581,8 +578,7 @@ class TestEstimateRoa:
         prev = LevelSetEstimate(pretrained[0], pretrained_level[1])
         short = replace(cfg, growth_iters=3, roa_sgd_steps=30)
         _, _, records = estimate_roa(prev, pretrained_level[0], escape,
-                                     short, short.batch_size(1), grid,
-                                     np.random.default_rng(5))
+                                     short, 1, np.random.default_rng(5))
         assert n_in == [0] * short.growth_iters
         assert [r.iteration for r in records] == [1, 2, 3]
         assert all(np.isfinite(r.loss) for r in records)
